@@ -25,14 +25,13 @@ from .effects import Call, DirectLink, Handler, Link, Sleep, TransportError, dri
 from .estimator import Estimator, blacklist_matches, housekeeping_loop, validate_blacklist
 from .eventlog import EventLog, EventRow, parse_event_log, parse_event_row
 from .harness import (
-    AggregateMetrics,
     ExperimentConfig,
     ExperimentResult,
+    RunMetrics,
     ScriptedOp,
     SuiteOutcome,
     WindowStats,
     aggregate_logs,
-    aggregate_rows,
     compute_windows,
     load_results,
     read_result,
@@ -44,7 +43,7 @@ from .harness import (
     write_scatter,
     write_timeseries,
 )
-from .sim import Simulation, Task, VirtualLink, virtual_link
+from .sim import Simulation, Task, VirtualLink
 from .tcp import ServerHandle, TcpLink, serve
 from .ttl import (
     DEFAULT_MAX_TTL_CAP,
@@ -82,11 +81,9 @@ from .workload import (
     StalenessLedger,
     ValueServer,
     WorkloadConfig,
-    error_fraction,
     next_delay_ms,
     query_actor,
     rate_at,
-    traffic_reduction,
     update_actor,
 )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Union
+from typing import Any, Callable, Generator
 
 from .clock import VirtualClock, seconds_to_ns
 from .effects import Call, Handler, Sleep, TransportError, invoke_handler
@@ -145,8 +145,3 @@ class Simulation:
 
     def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> VirtualLink:
         return VirtualLink(self, handler, seconds_to_ns(latency_s))
-
-
-def virtual_link(handler: Handler, sim: Simulation, latency_s: float = 0.0) -> VirtualLink:
-    """Module-level convenience mirroring Simulation.virtual_link."""
-    return sim.virtual_link(handler, latency_s)

@@ -86,14 +86,7 @@ class ServerHandle:
                     )
                 else:
                     reply = drive(invoke_handler(self._handler, request), self._clock)
-                    reply = Message(
-                        reply.kind,
-                        reply.method,
-                        reply.payload,
-                        reply.metadata,
-                        reply.status,
-                        request.request_id,
-                    )
+                    reply = reply.with_request_id(request.request_id)
                 try:
                     conn.sendall(encode(reply))
                 except OSError:
@@ -108,6 +101,12 @@ class ServerHandle:
 
     def close(self) -> None:
         self._closed = True
+        # close() alone leaves a thread blocked in accept() asleep for good;
+        # shutdown() wakes it with an error.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -119,6 +118,7 @@ class ServerHandle:
                 conn.close()
             except OSError:
                 pass
+        self._accept_thread.join(timeout=5.0)
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -179,14 +179,7 @@ class TcpLink:
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-            tagged = Message(
-                request.kind,
-                request.method,
-                request.payload,
-                request.metadata,
-                request.status,
-                request_id,
-            )
+            tagged = request.with_request_id(request_id)
             try:
                 sock = self._connect()
                 sock.sendall(encode(tagged))

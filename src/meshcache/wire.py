@@ -119,6 +119,10 @@ class Message:
                 return v
         return None
 
+    def with_request_id(self, request_id: int) -> "Message":
+        """Copy carrying request_id, as links tag requests and servers echo them."""
+        return Message(self.kind, self.method, self.payload, self.metadata, self.status, request_id)
+
     def with_metadata(self, key: str, value: str) -> "Message":
         """Copy with any existing pairs for key dropped and (key, value) appended."""
         kept = tuple(p for p in self.metadata if p[0] != key)

@@ -11,6 +11,9 @@ empty OK response). The client side runs two actors:
                  as decimal bytes) straight to the server, then publishes
                  it in the ledger.
 
+One request of either actor is a step, query_once or update_once; the
+harness's scripted traces replay the same steps at fixed instants.
+
 Request pacing for both actors is a Poisson arrival process riding a
 sinusoid: each inter-request gap is an exponential draw at the
 instantaneous rate (mean 1000 / rate_at(t) ms), rounded to a whole
@@ -34,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import CacheStats
 from .clock import NS_PER_MS, Clock
 from .effects import Call, Link, Sleep, TransportError
 from .eventlog import EventLog
@@ -158,16 +160,14 @@ class StalenessLedger:
     """Shared truth between the update and query actors.
 
     One writer (the updater) replaces expected_value atomically; the
-    query actor reads it and reports each outcome here. Errored queries
-    are tracked separately and excluded from the staleness fraction.
+    query actor reads it to classify each response. Outcomes are not
+    counted here: every actor step logs its outcome, and the harness
+    counts the log rows.
     """
 
     def __init__(self, initial_value: bytes = b"0") -> None:
         self._lock = threading.Lock()
         self._expected = initial_value
-        self._total = 0
-        self._stale = 0
-        self._errored = 0
 
     @property
     def expected_value(self) -> bytes:
@@ -177,34 +177,6 @@ class StalenessLedger:
     def publish(self, value: bytes) -> None:
         with self._lock:
             self._expected = value
-
-    def note_ok(self) -> None:
-        with self._lock:
-            self._total += 1
-
-    def note_stale(self) -> None:
-        with self._lock:
-            self._total += 1
-            self._stale += 1
-
-    def note_error(self) -> None:
-        with self._lock:
-            self._errored += 1
-
-    @property
-    def total_queries(self) -> int:
-        with self._lock:
-            return self._total
-
-    @property
-    def stale_queries(self) -> int:
-        with self._lock:
-            return self._stale
-
-    @property
-    def errored_queries(self) -> int:
-        with self._lock:
-            return self._errored
 
 
 def classify_response(
@@ -220,6 +192,41 @@ def classify_response(
     return "stale"
 
 
+def query_once(clock: Clock, cache_link: Link, ledger: StalenessLedger, log: EventLog) -> Generator:
+    """One GetValue through the cache, classified against the ledger and logged."""
+    expected = ledger.expected_value
+    try:
+        response = yield Call(cache_link, Message.request(GET_METHOD))
+    except TransportError:
+        response = None
+    outcome = classify_response(response, expected, ledger)
+    log.record(clock.now_ns(), "client", GET_METHOD, outcome)
+
+
+def update_once(
+    clock: Clock,
+    link: Link,
+    ledger: StalenessLedger,
+    value: bytes,
+    log: EventLog,
+) -> Generator:
+    """One SetValue of value, published in the ledger once acknowledged, and logged."""
+    request = Message.request(SET_METHOD, value)
+    response = None
+    for _ in range(2):  # one retry on transport failure
+        try:
+            response = yield Call(link, request)
+        except TransportError:
+            continue
+        break
+    if response is not None and response.ok:
+        ledger.publish(value)
+        outcome = "ok"
+    else:
+        outcome = "error"
+    log.record(clock.now_ns(), "client", SET_METHOD, outcome)
+
+
 def query_actor(
     sinusoid: SinusoidConfig,
     clock: Clock,
@@ -228,26 +235,12 @@ def query_actor(
     rng: np.random.Generator,
     start_ns: int,
     end_ns: int,
-    log: EventLog | None = None,
+    log: EventLog,
 ) -> Generator:
     """Issue GetValue at the sinusoid's pace until end_ns."""
     while clock.now_ns() < end_ns:
-        expected = ledger.expected_value
-        try:
-            response = yield Call(cache_link, Message.request(GET_METHOD))
-        except TransportError:
-            response = None
-        outcome = classify_response(response, expected, ledger)
-        if outcome == "ok":
-            ledger.note_ok()
-        elif outcome == "stale":
-            ledger.note_stale()
-        else:
-            ledger.note_error()
-        now_ns = clock.now_ns()
-        if log is not None:
-            log.record(now_ns, "client", GET_METHOD, outcome)
-        t_s = (now_ns - start_ns) / 1e9
+        yield from query_once(clock, cache_link, ledger, log)
+        t_s = (clock.now_ns() - start_ns) / 1e9
         yield Sleep(next_delay_ms(sinusoid, t_s, rng) * NS_PER_MS)
 
 
@@ -259,43 +252,12 @@ def update_actor(
     rng: np.random.Generator,
     start_ns: int,
     end_ns: int,
-    log: EventLog | None = None,
+    log: EventLog,
 ) -> Generator:
     """Write fresh unique values at the sinusoid's pace until end_ns."""
     counter = 0
     while clock.now_ns() < end_ns:
         counter += 1
-        value = str(counter).encode("ascii")
-        request = Message.request(SET_METHOD, value)
-        response = None
-        for _ in range(2):  # one retry on transport failure
-            try:
-                response = yield Call(server_link, request)
-            except TransportError:
-                continue
-            break
-        if response is not None and response.ok:
-            ledger.publish(value)
-            outcome = "ok"
-        else:
-            outcome = "error"
-        now_ns = clock.now_ns()
-        if log is not None:
-            log.record(now_ns, "client", SET_METHOD, outcome)
-        t_s = (now_ns - start_ns) / 1e9
+        yield from update_once(clock, server_link, ledger, str(counter).encode("ascii"), log)
+        t_s = (clock.now_ns() - start_ns) / 1e9
         yield Sleep(next_delay_ms(sinusoid, t_s, rng) * NS_PER_MS)
-
-
-def error_fraction(ledger: StalenessLedger) -> float:
-    """Stale share of completed queries (errored queries excluded)."""
-    total = ledger.total_queries
-    if total == 0:
-        raise ValueError("error fraction is undefined with zero completed queries")
-    return ledger.stale_queries / total
-
-
-def traffic_reduction(stats: CacheStats) -> float:
-    """Share of requests the cache answered without going upstream."""
-    if stats.requests == 0:
-        raise ValueError("traffic reduction is undefined with zero requests")
-    return stats.hits / stats.requests

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from meshcache.cli import main
+from meshcache.config import parse_matrix
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_run_writes_a_run_directory_and_reports_metrics(tmp_path, capsys):
@@ -127,3 +133,34 @@ def test_plot_data_with_no_results_is_a_config_error(tmp_path, capsys):
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def readme_blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README, flags=re.DOTALL)
+
+
+def test_readme_matrix_example_parses():
+    (block,) = readme_blocks("ini")
+    matrix = parse_matrix(block)
+    assert len(matrix.config_ids) == 12 and matrix.duration_s == 1800.0
+    assert matrix.phases == ("0", "pi4", "pi2", "pi") and matrix.seeds == (1, 2, 3)
+    # The defaults README states for a matrix that lists only config ids.
+    defaults = parse_matrix("static-1\n")
+    assert (defaults.phases, defaults.seeds, defaults.duration_s) == (
+        ("0", "pi4", "pi2", "pi"), (1, 2, 3), 300.0
+    )
+
+
+def test_readme_post_processing_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config-id", "static-1", "--duration-s", "10",
+                 "--out", "results/"]) == 0
+    commands = [
+        shlex.split(line, comments=True)
+        for block in readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith(("meshcache aggregate", "meshcache plot-data"))
+    ]
+    assert [argv[1] for argv in commands] == ["aggregate", "plot-data", "plot-data"]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

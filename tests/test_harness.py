@@ -1,6 +1,11 @@
 """Experiment harness: windows, runs, scripted traces, aggregation, suites."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,6 @@ from meshcache.harness import (
     ScriptedOp,
     WindowStats,
     aggregate_logs,
-    aggregate_rows,
     compute_windows,
     load_results,
     read_result,
@@ -46,7 +50,7 @@ def test_compute_windows_hand_checked():
         EventRow(5 * NS, "client", "SetValue", "ok"),  # ignored by both fractions
         EventRow(45 * NS, "cache", "GetValue", "miss"),  # clamped into the last window
     ]
-    windows = compute_windows(rows, start_ns=0, duration_s=30.0)
+    windows = compute_windows(rows, start_ns=0, duration_s=30.0).windows
     assert len(windows) == 2
     first, second = windows
     assert first.start_s == 0.0
@@ -58,9 +62,9 @@ def test_compute_windows_hand_checked():
 
 
 def test_window_count_covers_the_duration():
-    assert len(compute_windows([], 0, 300.0)) == 20
-    assert len(compute_windows([], 0, 1800.0)) == 120
-    assert len(compute_windows([], 0, 10.0)) == 1  # partial window still counts
+    assert len(compute_windows([], 0, 300.0).windows) == 20
+    assert len(compute_windows([], 0, 1800.0).windows) == 120
+    assert len(compute_windows([], 0, 10.0).windows) == 1  # partial window still counts
 
 
 # --- experiment config ---
@@ -132,15 +136,28 @@ def test_identical_seeds_are_byte_identical(tmp_path):
 
 
 def test_log_aggregation_agrees_with_in_memory_counters(tmp_path):
-    cfg = ExperimentConfig(config_id="adaptive-0.5", duration_s=60.0, seed=2)
-    result = run_experiment(cfg, tmp_path)
-    metrics = aggregate_logs((tmp_path / "events.csv").read_text())
-    assert metrics.hits == result.cache_stats.hits
-    assert metrics.misses == result.cache_stats.misses
-    assert metrics.error_fraction == result.error_fraction
-    assert metrics.traffic_reduction == result.traffic_reduction
-    assert metrics.total_queries == result.total_queries
-    assert metrics.stale_queries == result.stale_queries
+    configs = {
+        "plain": ExperimentConfig(config_id="adaptive-0.5", duration_s=60.0, seed=2),
+        "latency-via-cache": ExperimentConfig(
+            config_id="adaptive-0.5",
+            duration_s=60.0,
+            seed=2,
+            link_latency_s=0.05,
+            updates_via_cache=True,
+        ),
+    }
+    for name, cfg in configs.items():
+        run_experiment(cfg, tmp_path / name)
+        result = json.loads((tmp_path / name / "result.json").read_text())
+        metrics = aggregate_logs((tmp_path / name / "events.csv").read_text())
+        assert metrics.hits == result["cache"]["hits"], name
+        assert metrics.misses == result["cache"]["misses"], name
+        assert metrics.error_fraction == result["error_fraction"], name
+        assert metrics.traffic_reduction == result["traffic_reduction"], name
+        assert metrics.total_queries == result["total_queries"], name
+        assert metrics.stale_queries == result["stale_queries"], name
+        assert metrics.errored_queries == result["errored_queries"], name
+        assert metrics.total_updates == result["total_updates"] > 0, name
 
 
 def test_updates_can_be_routed_through_the_cache(tmp_path):
@@ -168,6 +185,46 @@ def test_real_clock_backend_smoke(tmp_path):
     metrics = aggregate_logs((tmp_path / "events.csv").read_text())
     assert metrics.hits == result.cache_stats.hits
     assert metrics.misses == result.cache_stats.misses
+
+
+TRACED_RUN = textwrap.dedent(
+    """
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import tracer
+    from meshcache.harness import ExperimentConfig, run_experiment
+
+    spans = tracer.Tracer()
+    registry = tracer.install(spans)
+    run_experiment(ExperimentConfig(config_id="adaptive-0.5", duration_s=60.0))
+    table, _ = spans.totals()
+    print(json.dumps({
+        "caches": len(registry["caches"]),
+        "estimators": len(registry["estimators"]),
+        "spans": sorted(table),
+    }))
+    """
+)
+
+
+def test_benchmark_trace_hooks_reach_a_run():
+    # bench/tracer.py replaces names the harness looks up in its module
+    # globals at call time; install() patches the process, hence a child.
+    root = Path(__file__).resolve().parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "bench")],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert (report["caches"], report["estimators"]) == (1, 1)
+    assert {"harness.compute_windows", "workload.actor", "cache.handle_miss"} <= set(
+        report["spans"]
+    )
 
 
 # --- scripted traces vs the straight-line oracle ---
@@ -251,10 +308,11 @@ def test_aggregate_logs_hand_checked():
 
 
 def test_aggregate_requires_signal():
+    # aggregate_logs folds the rows and checks both ratios before returning.
     with pytest.raises(ValueError, match="no completed queries"):
-        aggregate_rows([EventRow(0, "client", "GetValue", "error")])
+        aggregate_logs("0,client,GetValue,error,\n")
     with pytest.raises(ValueError, match="no cache lookups"):
-        aggregate_rows([EventRow(0, "client", "GetValue", "ok")])
+        aggregate_logs("0,client,GetValue,ok,\n")
 
 
 # --- scatter and result files ---

@@ -59,6 +59,16 @@ def test_connect_to_closed_server_raises_transport_error():
         link.send(Message.request("M"))
 
 
+def test_close_stops_the_accept_thread():
+    handle = serve(echo_handler)
+    with TcpLink(handle.address) as link:
+        # After one round trip the accept loop is back, blocked in accept().
+        assert link.send(Message.request("Echo", b"x")).ok
+    handle.close()
+    handle._accept_thread.join(timeout=5.0)
+    assert not handle._accept_thread.is_alive()
+
+
 def test_link_refuses_to_send_responses():
     with serve(echo_handler) as handle:
         with TcpLink(handle.address) as link:

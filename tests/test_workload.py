@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from meshcache.cache import CacheStats
 from meshcache.clock import NS_PER_S
 from meshcache.effects import TransportError
-from meshcache.eventlog import EventLog
+from meshcache.eventlog import EventLog, EventRow
+from meshcache.harness import compute_windows
 from meshcache.sim import Simulation
 from meshcache.wire import Message
 from meshcache.workload import (
@@ -20,11 +20,9 @@ from meshcache.workload import (
     ValueServer,
     WorkloadConfig,
     classify_response,
-    error_fraction,
     next_delay_ms,
     query_actor,
     rate_at,
-    traffic_reduction,
     update_actor,
 )
 
@@ -160,28 +158,33 @@ def test_classify_errors():
     assert classify_response(Message.error_response("GetValue", "x"), b"0", ledger) == "error"
 
 
+def query_outcome_rows(*outcomes):
+    log = EventLog()
+    for i, outcome in enumerate(outcomes):
+        log.record(i * NS_PER_S, "client", "GetValue", outcome)
+    return log.rows()
+
+
 def test_ledger_counters():
-    ledger = StalenessLedger()
-    ledger.note_ok()
-    ledger.note_stale()
-    ledger.note_ok()
-    ledger.note_error()
-    assert ledger.total_queries == 3  # errors excluded
-    assert ledger.stale_queries == 1
-    assert ledger.errored_queries == 1
+    # The ledger only carries the expected value; outcomes are counted by
+    # folding the rows the query step logs.
+    metrics = compute_windows(query_outcome_rows("ok", "stale", "ok", "error"), 0, 15.0)
+    assert metrics.total_queries == 3  # errors excluded
+    assert metrics.stale_queries == 1
+    assert metrics.errored_queries == 1
 
 
 def test_error_fraction_and_traffic_reduction():
-    ledger = StalenessLedger()
-    for _ in range(3):
-        ledger.note_ok()
-    ledger.note_stale()
-    assert error_fraction(ledger) == 0.25
-    assert traffic_reduction(CacheStats(hits=17, misses=3)) == 0.85
+    metrics = compute_windows(query_outcome_rows("ok", "ok", "ok", "stale"), 0, 15.0)
+    assert metrics.error_fraction == 0.25
+    lookups = [EventRow(0, "cache", "GetValue", "hit")] * 17 + [
+        EventRow(0, "cache", "GetValue", "miss")
+    ] * 3
+    assert compute_windows(lookups, 0, 15.0).traffic_reduction == 0.85
     with pytest.raises(ValueError):
-        error_fraction(StalenessLedger())
+        compute_windows([], 0, 15.0).error_fraction
     with pytest.raises(ValueError):
-        traffic_reduction(CacheStats())
+        compute_windows([], 0, 15.0).traffic_reduction
 
 
 # --- actors in a small simulation ---
@@ -214,12 +217,9 @@ def run_actors(duration_s=5.0, with_updates=True, seed=3):
 
 def test_uncached_queries_are_never_stale():
     server, ledger, log = run_actors()
-    assert ledger.total_queries > 20
-    assert ledger.stale_queries == 0
-    assert ledger.errored_queries == 0
     query_rows = [r for r in log.rows() if r.method == "GetValue"]
-    assert len(query_rows) == ledger.total_queries
-    assert all(r.event == "ok" for r in query_rows)
+    assert len(query_rows) > 20
+    assert all(r.event == "ok" for r in query_rows)  # none stale, none errored
 
 
 def test_update_actor_publishes_acknowledged_values():
@@ -261,9 +261,9 @@ def test_query_actor_counts_transport_failures_as_errors():
     rng = np.random.default_rng(0)
     sim.spawn(query_actor(cfg, sim.clock, DeadLink(), ledger, rng, 0, NS_PER_S, log))
     sim.run(until_ns=NS_PER_S)
-    assert ledger.errored_queries > 0
-    assert ledger.total_queries == 0
-    assert all(r.event == "error" for r in log.rows())
+    rows = log.rows()
+    assert len(rows) > 0
+    assert all(r.method == "GetValue" and r.event == "error" for r in rows)
 
 
 def test_update_actor_retries_once_then_succeeds():
