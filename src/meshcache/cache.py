@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .clock import Clock, seconds_to_ns
 from .digests import cache_key
-from .effects import Call, Link
+from .effects import Link
 from .eventlog import EventLog
 from .wire import Message
 
@@ -106,7 +106,7 @@ class Cache:
         if hit is not None:
             return hit
 
-        response = yield Call(self._upstream, request)
+        response = yield from self._upstream.exchange(request)
         if response.ok:
             ttl_s = parse_max_age(response.metadata_value("cache-control"))
             if ttl_s is not None and ttl_s >= 1:

@@ -137,6 +137,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             "total_queries": metrics.total_queries,
             "stale_queries": metrics.stale_queries,
             "errored_queries": metrics.errored_queries,
+            "total_updates": metrics.total_updates,
             "hits": metrics.hits,
             "misses": metrics.misses,
         }

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .estimator import DEFAULT_HOUSEKEEPING_AFTER_S, validate_blacklist
 from .ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
-from .workload import PHASE_SHIFTS
+from .workload import PHASE_SHIFTS, WorkloadConfig
 
 CONFIG_IDS: dict[str, AlgorithmConfig] = {
     "static-0": StaticTtl(0),
@@ -163,13 +163,13 @@ class SuiteMatrix:
     def __post_init__(self) -> None:
         if not self.config_ids:
             raise ValueError("matrix lists no config ids")
-        for phase in self.phases:
-            if phase not in PHASE_SHIFTS:
-                raise ValueError(f"unknown phase tag {phase!r}")
         if self.clock not in ("virtual", "real"):
             raise ValueError(f"clock must be virtual or real, got {self.clock!r}")
         if not self.phases or not self.seeds:
             raise ValueError("matrix needs at least one phase and one seed")
+        for phase in self.phases:  # the checks each run's workload makes
+            for seed in self.seeds:
+                WorkloadConfig(duration_s=self.duration_s, seed=seed, phase_tag=phase)
 
 
 def parse_matrix(text: str) -> SuiteMatrix:

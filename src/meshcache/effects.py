@@ -3,15 +3,16 @@
 Client actors and sidecar handlers are written once, as generators that
 yield effects instead of blocking:
 
-    response = yield Call(link, request)   # unary round trip
-    yield Sleep(delay_ns)                  # pause this actor
+    response = yield from link.exchange(request)   # unary round trip
+    yield Sleep(delay_ns)                          # pause this actor
 
-The virtual backend (sim.py) interprets effects on a deterministic event
-loop; the live backend interprets them right here with blocking socket
-sends and real sleeps (drive()). Handlers may also be plain functions that
-return a response directly; invoke_handler() normalizes both shapes and
-converts uncaught handler exceptions into ERROR responses so one bad
-request never takes down a connection or a simulation.
+A link's exchange() is a generator step. A virtual link (sim.py) runs the
+hop inside the caller's generator, so its event loop only sees Sleep; a
+TCP link yields one Call, which drive() performs as a blocking send, and
+drive() turns Sleep into a real sleep. Handlers may also be plain
+functions that return a response directly; invoke_handler() normalizes
+both shapes and converts uncaught handler exceptions into ERROR responses
+so one bad request never takes down a connection or a simulation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ Handler = Callable[[Message], Union[Message, Generator]]
 class Link(Protocol):
     """Unary forwarding interface: one request in, one response out."""
 
-    def send(self, request: Message) -> Message: ...
+    def exchange(self, request: Message) -> Generator: ...
 
 
 class TransportError(Exception):
@@ -43,7 +44,9 @@ class Sleep:
 
 @dataclass(frozen=True)
 class Call:
-    link: Any  # anything with the ForwardingInterface send() contract
+    """A blocking round trip for drive() to perform: link.send(message)."""
+
+    link: Any  # anything with a blocking send(request) -> response
     message: Message
 
 
@@ -98,15 +101,19 @@ def drive(task: Union[Message, Generator], clock: Clock) -> Message:
 
 
 class DirectLink:
-    """In-process ForwardingInterface calling a handler synchronously.
+    """In-process link calling a handler with no latency.
 
     Useful for unit tests and for co-deployed components that share a
-    process; nested effects in the handler are driven against the clock.
+    process. exchange() runs the handler inside the caller's generator;
+    send() drives it to completion against the clock.
     """
 
     def __init__(self, handler: Handler, clock: Clock) -> None:
         self._handler = handler
         self._clock = clock
 
+    def exchange(self, request: Message) -> Generator:
+        return (yield from invoke_handler(self._handler, request))
+
     def send(self, request: Message) -> Message:
-        return drive(invoke_handler(self._handler, request), self._clock)
+        return drive(self.exchange(request), self._clock)

@@ -22,7 +22,7 @@ from collections.abc import Generator, Iterable
 
 from .clock import Clock, seconds_to_ns
 from .digests import cache_key, response_digest
-from .effects import Call, Link, Sleep
+from .effects import Link, Sleep
 from .eventlog import EventLog
 from .ttl import (
     DEFAULT_MAX_TTL_CAP,
@@ -109,7 +109,7 @@ class Estimator:
 
     def handle(self, request: Message) -> Generator:
         """Handler generator: forward upstream, observe, annotate."""
-        response = yield Call(self._upstream, request)
+        response = yield from self._upstream.exchange(request)
         if not response.ok:
             return response
 

@@ -87,12 +87,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         parse_config_id(self.config_id)  # raises ValueError when unknown
-        if self.phase_tag not in PHASE_SHIFTS:
-            raise ValueError(f"unknown phase tag {self.phase_tag!r}")
         if self.clock_mode not in ("virtual", "real"):
             raise ValueError(f"clock_mode must be virtual or real, got {self.clock_mode!r}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        self.workload()  # checks phase, duration, period and seed
 
     def workload(self) -> WorkloadConfig:
         period = self.period_s if self.period_s is not None else self.duration_s
@@ -548,15 +545,15 @@ def run_suite(
     for config_id in ordered_ids:
         for phase in phases:
             for seed in seeds:
-                cfg = ExperimentConfig(
-                    config_id=config_id,
-                    phase_tag=phase,
-                    seed=seed,
-                    duration_s=duration_s,
-                    clock_mode=clock_mode,
-                    period_s=period_s,
-                )
                 try:
+                    cfg = ExperimentConfig(
+                        config_id=config_id,
+                        phase_tag=phase,
+                        seed=seed,
+                        duration_s=duration_s,
+                        clock_mode=clock_mode,
+                        period_s=period_s,
+                    )
                     results.append(
                         run_experiment(cfg, run_dir(out_path, config_id, phase, seed))
                     )

@@ -1,25 +1,25 @@
 """Deterministic discrete-event scheduler and virtual-time links.
 
 The kernel owns a VirtualClock and a heap of (time, sequence, callback)
-events. Actors and handlers run as Tasks: generators yielding Sleep and
-Call effects (see effects.py). Everything is single-threaded; with a fixed
-spawn order and fixed RNG seeds, two runs produce identical event orders
-and therefore byte-identical logs.
+events. Actors run as Tasks: generators yielding Sleep effects (see
+effects.py), each of which schedules the task's next step. Everything is
+single-threaded; with a fixed spawn order and fixed RNG seeds, two runs
+produce identical event orders and therefore byte-identical logs.
 
-A VirtualLink models one hop of the topology: a Call through it delivers
-the request after the link latency, runs the target handler (itself a
-task, so it may make further calls), and delivers the response back after
-the same latency.
+A VirtualLink models one hop of the topology as a generator step run
+inside the caller's task: `yield from link.exchange(request)` sleeps the
+link latency, runs the target handler (which may exchange through further
+links), and sleeps the same latency on the way back.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator
+from typing import Callable, Generator
 
 from .clock import VirtualClock, seconds_to_ns
-from .effects import Call, Handler, Sleep, TransportError, invoke_handler
+from .effects import Handler, Sleep, invoke_handler
 from .wire import Message
 
 
@@ -29,80 +29,34 @@ class Task:
     def __init__(self, sim: "Simulation", gen: Generator) -> None:
         self._sim = sim
         self._gen = gen
-        self.done = False
-        self.result: Any = None
-        self._done_callbacks: list[Callable[[Any], None]] = []
 
-    def add_done_callback(self, fn: Callable[[Any], None]) -> None:
-        if self.done:
-            fn(self.result)
-        else:
-            self._done_callbacks.append(fn)
-
-    def _step(self, value: Any = None, error: BaseException | None = None) -> None:
-        sim = self._sim
-        while True:
-            try:
-                if error is not None:
-                    effect = self._gen.throw(error)
-                else:
-                    effect = self._gen.send(value)
-            except StopIteration as stop:
-                self.done = True
-                self.result = stop.value
-                for fn in self._done_callbacks:
-                    fn(self.result)
-                self._done_callbacks.clear()
-                return
-            value, error = None, None
-            if isinstance(effect, Sleep):
-                sim.call_after(effect.duration_ns, self._step)
-                return
-            if isinstance(effect, Call):
-                link = effect.link
-                if isinstance(link, VirtualLink):
-                    link._dispatch(effect.message, self)
-                    return
-                # Non-virtual links (DirectLink in hybrid tests) resolve now;
-                # transport failures reach the actor exactly as drive() does.
-                try:
-                    value = link.send(effect.message)
-                except TransportError as exc:
-                    error = exc
-                continue
+    def _step(self) -> None:
+        try:
+            effect = self._gen.send(None)
+        except StopIteration:
+            return
+        if not isinstance(effect, Sleep):
             raise TypeError(f"unknown effect {effect!r}")
+        self._sim.call_after(effect.duration_ns, self._step)
 
 
 class VirtualLink:
-    """ForwardingInterface over the event loop; use via `yield Call(link, m)`.
+    """Link over the event loop; use via `yield from link.exchange(m)`.
 
     Symmetric latency is applied on delivery and on the response leg. The
     target handler is isolated exactly like a live server isolates it: an
     uncaught exception becomes a status-ERROR response.
     """
 
-    def __init__(self, sim: "Simulation", handler: Handler, latency_ns: int = 0) -> None:
-        self._sim = sim
+    def __init__(self, handler: Handler, latency_ns: int = 0) -> None:
         self._handler = handler
         self.latency_ns = latency_ns
 
-    def send(self, request: Message) -> Message:
-        raise RuntimeError(
-            "VirtualLink cannot block; yield Call(link, request) from a simulation task"
-        )
-
-    def _dispatch(self, request: Message, caller: Task) -> None:
-        sim = self._sim
-
-        def deliver() -> None:
-            handler_task = sim.spawn(invoke_handler(self._handler, request))
-            handler_task.add_done_callback(
-                lambda response: sim.call_after(
-                    self.latency_ns, lambda: caller._step(response)
-                )
-            )
-
-        sim.call_after(self.latency_ns, deliver)
+    def exchange(self, request: Message) -> Generator:
+        yield Sleep(self.latency_ns)
+        response = yield from invoke_handler(self._handler, request)
+        yield Sleep(self.latency_ns)
+        return response
 
 
 class Simulation:
@@ -144,4 +98,4 @@ class Simulation:
             self.clock.advance_to(until_ns)
 
     def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> VirtualLink:
-        return VirtualLink(self, handler, seconds_to_ns(latency_s))
+        return VirtualLink(handler, seconds_to_ns(latency_s))

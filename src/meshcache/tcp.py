@@ -12,10 +12,11 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+from typing import Generator
 
 from .clock import Clock, SystemClock
-from .effects import Handler, TransportError, drive, invoke_handler
-from .wire import DecodeError, Message, decode, encode
+from .effects import Call, Handler, TransportError, drive, invoke_handler
+from .wire import MAX_FRAME_LEN, DecodeError, Message, OversizeFrameError, decode, encode
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -32,8 +33,8 @@ def _recv_frame(sock: socket.socket) -> bytes:
     prefix = _recv_exact(sock, 4)
     (total,) = struct.unpack(">I", prefix)
     # decode() re-checks the cap; reject before allocating for huge lies.
-    if total > 16 * 1024 * 1024:
-        raise DecodeError(f"declared frame length {total} exceeds 16 MiB cap")
+    if total > MAX_FRAME_LEN:
+        raise OversizeFrameError(f"declared frame length {total} exceeds {MAX_FRAME_LEN} byte cap")
     return prefix + _recv_exact(sock, total)
 
 
@@ -149,8 +150,9 @@ def serve(
 
 
 class TcpLink:
-    """Blocking ForwardingInterface over one TCP connection.
+    """Blocking link over one TCP connection.
 
+    exchange() yields one Call effect, which drive() performs with send().
     send() is serialized with an internal lock so a link instance can be
     shared by the threads of one component; each call gets a fresh request
     id and the response id must match.
@@ -172,6 +174,9 @@ class TcpLink:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
         return self._sock
+
+    def exchange(self, request: Message) -> Generator:
+        return (yield Call(self, request))
 
     def send(self, request: Message) -> Message:
         if not request.is_request:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clock import NS_PER_MS, Clock
-from .effects import Call, Link, Sleep, TransportError
+from .effects import Link, Sleep, TransportError
 from .eventlog import EventLog
 from .wire import Message
 
@@ -96,7 +96,7 @@ class WorkloadConfig:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def phase_shift(self) -> float:
@@ -196,7 +196,7 @@ def query_once(clock: Clock, cache_link: Link, ledger: StalenessLedger, log: Eve
     """One GetValue through the cache, classified against the ledger and logged."""
     expected = ledger.expected_value
     try:
-        response = yield Call(cache_link, Message.request(GET_METHOD))
+        response = yield from cache_link.exchange(Message.request(GET_METHOD))
     except TransportError:
         response = None
     outcome = classify_response(response, expected, ledger)
@@ -215,7 +215,7 @@ def update_once(
     response = None
     for _ in range(2):  # one retry on transport failure
         try:
-            response = yield Call(link, request)
+            response = yield from link.exchange(request)
         except TransportError:
             continue
         break

@@ -67,6 +67,27 @@ def test_suite_bad_matrix_is_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line", ["duration_s=0", "duration_s=-5", "seeds=1,-1", f"seeds={2**64}"]
+)
+def test_suite_matrix_with_unusable_run_knobs_is_a_config_error(tmp_path, capsys, line):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(f"static-1\nphases=0\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["suite", "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert "bad matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    code = main(["run", "--config-id", "static-1", "--seed", seed, "--duration-s", "5",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_aggregate_recomputes_metrics_from_logs(tmp_path, capsys):
     out = tmp_path / "results"
     main(["run", "--config-id", "static-1", "--duration-s", "10", "--out", str(out)])
@@ -164,3 +185,6 @@ def test_readme_post_processing_examples_run(tmp_path, monkeypatch):
     assert [argv[1] for argv in commands] == ["aggregate", "plot-data", "plot-data"]
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+    result = json.loads(Path("results/static-1/0/seed-1/result.json").read_text())
+    aggregated = json.loads(Path("metrics.json").read_text())["runs"]["static-1/0/seed-1"]
+    assert aggregated["total_updates"] == result["total_updates"] > 0

@@ -29,6 +29,7 @@ from meshcache.harness import (
     write_result,
     write_timeseries,
 )
+from meshcache.sim import Simulation
 from meshcache.ttl import UpdateRiskTtl
 
 from trace_oracle import replay_trace
@@ -79,6 +80,9 @@ def test_experiment_config_validation():
         ExperimentConfig(config_id="static-1", clock_mode="sundial")
     with pytest.raises(ValueError):
         ExperimentConfig(config_id="static-1", duration_s=0.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            ExperimentConfig(config_id="static-1", seed=seed)
 
 
 def test_workload_period_follows_duration_unless_pinned():
@@ -175,6 +179,24 @@ def test_link_latency_shifts_timestamps():
     base = ExperimentConfig(config_id="static-1", duration_s=10.0, link_latency_s=0.05)
     result = run_experiment(base)
     assert result.total_queries > 0
+
+
+def test_virtual_run_spawns_one_task_per_actor(monkeypatch):
+    # Every hop runs inside the task of the actor that made the request.
+    spawned = []
+    real_spawn = Simulation.spawn
+
+    def counting_spawn(self, gen):
+        spawned.append(gen)
+        return real_spawn(self, gen)
+
+    monkeypatch.setattr(Simulation, "spawn", counting_spawn)
+    cfg = ExperimentConfig(
+        config_id="adaptive-0.5", duration_s=30.0, link_latency_s=0.05, updates_via_cache=True
+    )
+    result = run_experiment(cfg)
+    assert result.total_queries > 0 and result.cache_stats.misses > 0
+    assert len(spawned) == 3
 
 
 def test_real_clock_backend_smoke(tmp_path):
@@ -411,3 +433,10 @@ def test_run_suite_records_failures_and_keeps_going(tmp_path, monkeypatch):
     assert len(outcome.results) == 1
     assert outcome.failures == (("static-1", "pi", 1, "RuntimeError: induced"),)
     assert (tmp_path / "scatter.csv").exists()  # written from the survivors
+    # A run whose config is refused is one more failure, not an abort.
+    outcome = harness.run_suite(
+        ["static-1"], phases=("0",), seeds=(1, -1), duration_s=5.0, out_dir=tmp_path / "s"
+    )
+    assert len(outcome.results) == 1
+    assert [failure[:3] for failure in outcome.failures] == [("static-1", "0", -1)]
+    assert (tmp_path / "s" / "scatter.csv").exists()

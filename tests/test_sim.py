@@ -74,7 +74,7 @@ def test_call_through_virtual_link_applies_latency_both_ways():
     got = []
 
     def client():
-        response = yield Call(link, Message.request("Ping"))
+        response = yield from link.exchange(Message.request("Ping"))
         got.append((sim.clock.now_ns(), response.payload))
 
     sim.spawn(client())
@@ -84,10 +84,17 @@ def test_call_through_virtual_link_applies_latency_both_ways():
 
 
 def test_virtual_link_rejects_blocking_send():
+    # A virtual hop has no blocking send, and the scheduler refuses the
+    # Call effect a blocking link would ask drive() to perform.
     sim = Simulation()
     link = sim.virtual_link(lambda r: Message.response(r.method))
-    with pytest.raises(RuntimeError):
-        link.send(Message.request("M"))
+    assert not hasattr(link, "send")
+
+    def actor():
+        yield Call(link, Message.request("M"))
+
+    with pytest.raises(TypeError):
+        sim.spawn(actor())
 
 
 def test_handler_exception_becomes_error_response():
@@ -100,7 +107,7 @@ def test_handler_exception_becomes_error_response():
     out = []
 
     def client():
-        response = yield Call(link, Message.request("M"))
+        response = yield from link.exchange(Message.request("M"))
         out.append(response)
 
     sim.spawn(client())
@@ -109,25 +116,34 @@ def test_handler_exception_becomes_error_response():
     assert b"kaboom" in out[0].payload
 
 
-def test_nested_handler_generators_run_as_tasks():
-    # A handler that itself calls through a second link, proxy style.
+def test_two_hop_chain_runs_inside_the_callers_task(monkeypatch):
     sim = Simulation()
-    backend = sim.virtual_link(lambda r: Message.response(r.method, b"deep"), latency_s=1.0)
+    spawned = []
+    real_spawn = Simulation.spawn
+
+    def counting_spawn(self, gen):
+        spawned.append(gen)
+        return real_spawn(self, gen)
+
+    monkeypatch.setattr(Simulation, "spawn", counting_spawn)
+    # A handler that itself calls through a second link, proxy style.
+    latency_s = 0.25
+    backend = sim.virtual_link(lambda r: Message.response(r.method, b"deep"), latency_s)
 
     def proxy(request):
-        response = yield Call(backend, request)
-        return response
+        return (yield from backend.exchange(request))
 
-    front = sim.virtual_link(proxy, latency_s=1.0)
+    front = sim.virtual_link(proxy, latency_s)
     done = []
 
     def client():
-        response = yield Call(front, Message.request("M"))
+        response = yield from front.exchange(Message.request("M"))
         done.append((sim.clock.now_ns(), response.payload))
 
     sim.spawn(client())
     sim.run()
-    assert done == [(seconds_to_ns(4.0), b"deep")]
+    assert done == [(seconds_to_ns(4 * latency_s), b"deep")]
+    assert len(spawned) == 1
 
 
 def test_identical_spawn_order_gives_identical_event_order():
@@ -148,21 +164,20 @@ def test_identical_spawn_order_gives_identical_event_order():
     assert trace() == trace()
 
 
-def test_task_result_and_done_callback():
+def test_task_runs_to_completion():
     sim = Simulation()
+    finished = []
 
     def worker():
         yield Sleep(1)
+        finished.append(sim.clock.now_ns())
         return 42
 
-    task = sim.spawn(worker())
-    results = []
-    task.add_done_callback(results.append)
+    sim.spawn(worker())
     sim.run()
-    assert task.done and task.result == 42 and results == [42]
-    late = []
-    task.add_done_callback(late.append)  # already done: fires immediately
-    assert late == [42]
+    assert finished == [1]
+    sim.run()  # nothing is left queued once the generator has returned
+    assert finished == [1] and sim.clock.now_ns() == 1
 
 
 def test_unknown_effect_raises():
@@ -228,6 +243,21 @@ def test_drive_propagates_unhandled_transport_errors():
 
     with pytest.raises(TransportError):
         drive(actor(), clock)
+
+
+def test_direct_link_exchange_runs_inside_a_simulation_task():
+    sim = Simulation()
+    link = DirectLink(lambda r: Message.response(r.method, b"now"), sim.clock)
+    got = []
+
+    def actor():
+        yield Sleep(5)
+        response = yield from link.exchange(Message.request("M"))
+        got.append((sim.clock.now_ns(), response.payload))
+
+    sim.spawn(actor())
+    sim.run()
+    assert got == [(5, b"now")]
 
 
 def test_direct_link_is_synchronous_and_isolating():

@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from meshcache.effects import TransportError
+from meshcache.clock import SystemClock
+from meshcache.effects import Call, TransportError, drive
 from meshcache.tcp import TcpLink, serve
 from meshcache.wire import Message, decode, encode
 
@@ -57,6 +58,35 @@ def test_connect_to_closed_server_raises_transport_error():
     link = TcpLink(address, timeout_s=0.5)
     with pytest.raises(TransportError):
         link.send(Message.request("M"))
+
+
+def test_exchange_yields_one_call_for_drive_to_perform():
+    # The round trip suspends the caller, so a live cache miss is a
+    # suspended handler exactly like a virtual one; nothing is sent yet.
+    link = TcpLink(("127.0.0.1", 9))
+    request = Message.request("M")
+    step = link.exchange(request)
+    assert next(step) == Call(link, request)
+    reply = Message.response("M", b"r")
+    with pytest.raises(StopIteration) as stop:
+        step.send(reply)
+    assert stop.value.value is reply
+
+
+def test_exchange_failure_is_thrown_into_the_driven_actor():
+    handle = serve(echo_handler)
+    address = handle.address
+    handle.close()
+    link = TcpLink(address, timeout_s=0.5)
+
+    def actor():
+        try:
+            yield from link.exchange(Message.request("M"))
+        except TransportError:
+            return "caught"
+        return "answered"
+
+    assert drive(actor(), SystemClock()) == "caught"
 
 
 def test_close_stops_the_accept_thread():
@@ -134,9 +164,7 @@ def test_generator_handlers_can_call_onward():
         backend_link = TcpLink(backend.address)
 
         def proxy(request):
-            from meshcache.effects import Call
-
-            response = yield Call(backend_link, request)
+            response = yield from backend_link.exchange(request)
             return response.with_metadata("via", "proxy")
 
         with serve(proxy) as front:
