@@ -17,7 +17,7 @@ so one bad request never takes down a connection or a simulation.
 
 from __future__ import annotations
 
-import inspect
+import types
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Protocol, Union
 
@@ -58,7 +58,7 @@ def invoke_handler(handler: Handler, request: Message) -> Generator:
     """
     try:
         out = handler(request)
-        if inspect.isgenerator(out):
+        if isinstance(out, types.GeneratorType):
             response = yield from out
         else:
             response = out

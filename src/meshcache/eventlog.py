@@ -4,20 +4,21 @@ Row format, one event per line:
 
     <nanos>,<component>,<method>,<event>,<value>
 
-value may be empty (cache hit/miss rows leave it blank). The log is an
-in-memory list guarded by a lock so actors on different threads (the TCP
-backend) can interleave safely; the virtual backend is single-threaded
-and pays only the lock overhead.
+value may be empty (cache hit/miss rows leave it blank). Each row is an
+EventRow, a named tuple: the log holds one per event, so it is kept as
+small and as cheap to build as a tuple (and compares equal to the plain
+tuple of its fields). The log is an in-memory list guarded by a lock so
+actors on different threads (the TCP backend) can interleave safely; the
+virtual backend is single-threaded and pays only the lock overhead.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EventRow:
+class EventRow(NamedTuple):
     timestamp_ns: int
     component: str
     method: str

@@ -366,14 +366,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 sim.spawn(actor)
             sim.run(until_ns=end_ns)
         else:
+            # A thread's exception would only be printed; keep it, so that a
+            # crashed actor fails the run as it does on the virtual clock.
+            errors: list[BaseException] = []
+
+            def run_actor(actor: Generator) -> None:
+                try:
+                    drive(actor, clock)
+                except BaseException as exc:  # noqa: BLE001 - re-raised after join
+                    errors.append(exc)
+
             threads = [
-                threading.Thread(target=drive, args=(actor, clock), daemon=True)
+                threading.Thread(target=run_actor, args=(actor,), daemon=True)
                 for actor in actors
             ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            if errors:
+                raise errors[0]
     # The windows' TTL sums run in timestamp order, which fixes their rounding.
     rows = sorted(log.rows(), key=lambda r: r.timestamp_ns)
     metrics = compute_windows(rows, start_ns, cfg.duration_s)

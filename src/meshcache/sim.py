@@ -1,10 +1,20 @@
 """Deterministic discrete-event scheduler and virtual-time links.
 
 The kernel owns a VirtualClock and a heap of (time, sequence, callback)
-events. Actors run as Tasks: generators yielding Sleep effects (see
-effects.py), each of which schedules the task's next step. Everything is
-single-threaded; with a fixed spawn order and fixed RNG seeds, two runs
-produce identical event orders and therefore byte-identical logs.
+events, popped in (time, sequence) order. Actors run as Tasks: generators
+yielding Sleep effects (see effects.py), each of which wakes the task
+again at now + duration. Everything is single-threaded; with a fixed spawn
+order and fixed RNG seeds, two runs produce identical event orders and
+therefore byte-identical logs.
+
+Resuming in place. While run() is processing events, a task whose wake-up
+t is within run()'s horizon and strictly earlier than every queued event
+is resumed at once, after the clock advances to t, instead of being pushed
+and popped straight back. That leaves the order unchanged: the pushed
+event would have been the next one popped. An event already queued at
+exactly t was pushed earlier, so it has the lower sequence number and must
+run first; the strict comparison keeps every such tie on the heap. spawn()
+always pushes, since it may run inside another task's step.
 
 A VirtualLink models one hop of the topology as a generator step run
 inside the caller's task: `yield from link.exchange(request)` sleeps the
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Generator
 
 from .clock import VirtualClock, seconds_to_ns
@@ -30,14 +41,26 @@ class Task:
         self._sim = sim
         self._gen = gen
 
-    def _step(self) -> None:
-        try:
-            effect = self._gen.send(None)
-        except StopIteration:
-            return
-        if not isinstance(effect, Sleep):
-            raise TypeError(f"unknown effect {effect!r}")
-        self._sim.call_after(effect.duration_ns, self._step)
+    def _step(self, in_place: bool = True) -> None:
+        """Run the task to its next Sleep and resume or schedule its wake-up.
+
+        in_place=False (spawn) always pushes the wake-up onto the heap.
+        """
+        sim = self._sim
+        clock = sim.clock
+        heap = sim._heap
+        while True:
+            try:
+                effect = self._gen.send(None)
+            except StopIteration:
+                return
+            if not isinstance(effect, Sleep):
+                raise TypeError(f"unknown effect {effect!r}")
+            t_ns = clock.now_ns() + max(0, effect.duration_ns)
+            if not (in_place and t_ns <= sim._until_ns and (not heap or heap[0][0] > t_ns)):
+                sim.call_at(t_ns, self._step)
+                return
+            clock.advance_to(t_ns)
 
 
 class VirtualLink:
@@ -50,12 +73,12 @@ class VirtualLink:
 
     def __init__(self, handler: Handler, latency_ns: int = 0) -> None:
         self._handler = handler
-        self.latency_ns = latency_ns
+        self._latency = Sleep(latency_ns)
 
     def exchange(self, request: Message) -> Generator:
-        yield Sleep(self.latency_ns)
+        yield self._latency
         response = yield from invoke_handler(self._handler, request)
-        yield Sleep(self.latency_ns)
+        yield self._latency
         return response
 
 
@@ -66,19 +89,19 @@ class Simulation:
         self.clock = VirtualClock(start_ns)
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
+        # The horizon of the run() in progress; tasks resume in place only
+        # up to it, so a run sliced by until_ns processes the same events.
+        self._until_ns: float = math.inf
 
     def call_at(self, t_ns: int, fn: Callable[[], None]) -> None:
         if t_ns < self.clock.now_ns():
             raise ValueError("cannot schedule an event in the past")
         heapq.heappush(self._heap, (t_ns, next(self._seq), fn))
 
-    def call_after(self, delay_ns: int, fn: Callable[[], None]) -> None:
-        self.call_at(self.clock.now_ns() + max(0, delay_ns), fn)
-
     def spawn(self, gen: Generator) -> Task:
         """Start a task immediately at the current instant."""
         task = Task(self, gen)
-        task._step()
+        task._step(in_place=False)
         return task
 
     def run(self, until_ns: int | None = None) -> None:
@@ -86,7 +109,9 @@ class Simulation:
 
         With until_ns, stops before the first event past that instant and
         leaves it queued; the clock is advanced to until_ns regardless.
+        A task resumed in place never runs past until_ns either.
         """
+        self._until_ns = math.inf if until_ns is None else until_ns
         while self._heap:
             t_ns, _, fn = self._heap[0]
             if until_ns is not None and t_ns > until_ns:

@@ -27,7 +27,7 @@ estimators are functions of (config, history, now).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .clock import ns_to_seconds
@@ -127,7 +127,9 @@ def observe(history: ObservationHistory, now_ns: int, digest: bytes) -> Observat
             f"{history.change_timestamps[-1]}"
         )
     if history.last_digest is not None and digest == history.last_digest:
-        return replace(history, last_touched=now_ns)
+        return ObservationHistory(
+            history.history_depth, history.last_digest, history.change_timestamps, now_ns
+        )
     stamps = history.change_timestamps + (now_ns,)
     if len(stamps) > history.history_depth:
         stamps = stamps[-history.history_depth :]

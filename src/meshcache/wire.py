@@ -19,7 +19,7 @@ accepted byte string re-encodes to itself.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 MAX_FRAME_LEN = 16 * 1024 * 1024
 
@@ -126,7 +126,10 @@ class Message:
     def with_metadata(self, key: str, value: str) -> "Message":
         """Copy with any existing pairs for key dropped and (key, value) appended."""
         kept = tuple(p for p in self.metadata if p[0] != key)
-        return replace(self, metadata=kept + ((key, value),))
+        return Message(
+            self.kind, self.method, self.payload, kept + ((key, value),), self.status,
+            self.request_id,
+        )
 
 
 def _method_ok(method: str) -> bool:

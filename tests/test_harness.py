@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from meshcache import harness
 from meshcache.cache import CacheStats
 from meshcache.config import parse_estimator_config
 from meshcache.eventlog import EventRow, parse_event_log
@@ -32,6 +34,7 @@ from meshcache.harness import (
 from meshcache.sim import Simulation
 from meshcache.ttl import UpdateRiskTtl
 
+from reference_scheduler import ReferenceSimulation
 from trace_oracle import replay_trace
 
 NS = 1_000_000_000
@@ -199,6 +202,61 @@ def test_virtual_run_spawns_one_task_per_actor(monkeypatch):
     assert len(spawned) == 3
 
 
+@pytest.mark.parametrize("config_id", ["static-0", "static-30", "updaterisk-0.5"])
+@pytest.mark.parametrize("latency_s", [0.0, 0.05])
+def test_virtual_runs_match_the_reference_scheduler(tmp_path, monkeypatch, config_id, latency_s):
+    cfg = ExperimentConfig(
+        config_id=config_id,
+        phase_tag="pi2",
+        seed=5,
+        duration_s=120.0,
+        link_latency_s=latency_s,
+        updates_via_cache=latency_s > 0,
+    )
+    result = run_experiment(cfg, tmp_path / "sim")
+    assert result.total_queries > 0 and result.total_updates > 0
+    monkeypatch.setattr(harness, "Simulation", ReferenceSimulation)
+    run_experiment(cfg, tmp_path / "reference")
+    for name in ("events.csv", "result.json", "timeseries.csv", "estimator.cfg"):
+        assert (tmp_path / "sim" / name).read_bytes() == (
+            tmp_path / "reference" / name
+        ).read_bytes(), name
+
+
+def test_scripted_traces_with_ties_match_the_reference_scheduler(monkeypatch):
+    rng = random.Random(11)
+    traces = []
+    for _ in range(20):
+        times = sorted(rng.randint(0, 12) * 0.5 for _ in range(rng.randint(5, 40)))
+        ops = [ScriptedOp(t, rng.choice(["query", "update"])) for t in times]
+        traces.append((ops, rng.choice(["static-30", "adaptive-0.5", "updaterisk-0.9"])))
+    ours = [run_scripted_trace(ops, config_id) for ops, config_id in traces]
+    monkeypatch.setattr(harness, "Simulation", ReferenceSimulation)
+    assert [run_scripted_trace(ops, config_id) for ops, config_id in traces] == ours
+
+
+def test_virtual_run_pushes_few_of_its_sleeps(monkeypatch):
+    # Most Sleeps of a run (zero-latency hop legs) wake a task before any
+    # other event is due, and resume it in place without a heap push.
+    counts = {"sleeps": 0, "pushes": 0}
+    real_spawn, real_call_at = Simulation.spawn, Simulation.call_at
+
+    def counted(gen):
+        for effect in gen:
+            counts["sleeps"] += 1
+            yield effect
+
+    def counting_call_at(self, t_ns, fn):
+        counts["pushes"] += 1
+        return real_call_at(self, t_ns, fn)
+
+    monkeypatch.setattr(Simulation, "spawn", lambda self, gen: real_spawn(self, counted(gen)))
+    monkeypatch.setattr(Simulation, "call_at", counting_call_at)
+    run_experiment(ExperimentConfig(config_id="updaterisk-0.5", phase_tag="pi2", duration_s=600.0))
+    assert counts["sleeps"] > 10_000
+    assert counts["pushes"] < 0.05 * counts["sleeps"]
+
+
 def test_real_clock_backend_smoke(tmp_path):
     cfg = ExperimentConfig(config_id="static-1", duration_s=2.0, clock_mode="real")
     result = run_experiment(cfg, tmp_path)
@@ -209,7 +267,19 @@ def test_real_clock_backend_smoke(tmp_path):
     assert metrics.misses == result.cache_stats.misses
 
 
-TRACED_RUN = textwrap.dedent(
+@pytest.mark.parametrize("clock_mode", ["virtual", "real"])
+def test_a_crashed_actor_fails_the_run(monkeypatch, clock_mode):
+    def crashing_actor(*args):
+        raise RuntimeError("update actor crashed")
+        yield  # pragma: no cover - makes this a generator function
+
+    monkeypatch.setattr(harness, "update_actor", crashing_actor)
+    cfg = ExperimentConfig(config_id="static-1", duration_s=1.0, clock_mode=clock_mode)
+    with pytest.raises(RuntimeError, match="update actor crashed"):
+        run_experiment(cfg)
+
+
+TRACED_RUN =textwrap.dedent(
     """
     import json, sys
     sys.path.insert(0, sys.argv[1])

@@ -1,11 +1,15 @@
 """Deterministic event loop, effect interpretation, virtual links."""
 
+import random
+
 import pytest
 
 from meshcache.clock import NS_PER_S, VirtualClock, seconds_to_ns
 from meshcache.effects import Call, DirectLink, Sleep, TransportError, drive, invoke_handler
 from meshcache.sim import Simulation
 from meshcache.wire import Message
+
+from reference_scheduler import ReferenceSimulation
 
 
 def test_virtual_clock_only_moves_forward():
@@ -162,6 +166,148 @@ def test_identical_spawn_order_gives_identical_event_order():
         return events
 
     assert trace() == trace()
+
+
+# --- resuming in place keeps the (time, sequence) order ---
+
+
+def test_sleep_zero_runs_after_an_event_already_queued_at_now():
+    sim = Simulation()
+    order = []
+
+    def actor():
+        yield Sleep(5)
+        sim.call_at(5, lambda: order.append("queued at 5"))
+        yield Sleep(0)
+        order.append(("woke", sim.clock.now_ns()))
+
+    sim.spawn(actor())
+    sim.call_at(5, lambda: order.append("queued first"))
+    sim.run()
+    assert order == ["queued first", "queued at 5", ("woke", 5)]
+
+
+def test_tasks_waking_at_the_same_instant_keep_their_push_order():
+    sim = Simulation()
+    order = []
+
+    def actor(name, first):
+        yield Sleep(first)
+        order.append((sim.clock.now_ns(), name))
+        yield Sleep(10 - first)
+        order.append((sim.clock.now_ns(), name))
+        yield Sleep(0)
+        order.append((sim.clock.now_ns(), name))
+
+    sim.spawn(actor("a", 3))
+    sim.spawn(actor("b", 6))
+    sim.run()
+    assert order == [(3, "a"), (6, "b"), (10, "a"), (10, "b"), (10, "a"), (10, "b")]
+
+
+def test_a_task_resumed_in_place_stops_at_the_horizon():
+    # With one task the heap is empty whenever it sleeps, so only the
+    # horizon stops it; sliced runs must replay the single run exactly.
+    def trace(slices):
+        sim = Simulation()
+        seen = []
+
+        def ticker():
+            for d in [1, 0, 0, 2, 1, 0, 3, 0, 1, 1, 0, 5]:
+                yield Sleep(d)
+                seen.append(sim.clock.now_ns())
+
+        def other():
+            for d in [2, 0, 1, 4, 0, 0, 2]:
+                yield Sleep(d)
+                seen.append(-sim.clock.now_ns())
+
+        sim.spawn(ticker())
+        sim.spawn(other())
+        for until in slices:
+            sim.run(until)
+            assert sim.clock.now_ns() == until
+            assert all(abs(t) <= until for t in seen)
+        sim.run()
+        return seen
+
+    whole = trace([])
+    assert trace([0, 1, 3, 4, 5, 7, 8, 9, 12]) == whole
+    assert trace(range(15)) == whole
+
+    sim = Simulation()
+    seen = []
+
+    def alone():
+        for _ in range(10):
+            yield Sleep(1)
+            seen.append(sim.clock.now_ns())
+
+    sim.spawn(alone())
+    sim.run(until_ns=4)
+    assert seen == [1, 2, 3, 4] and sim.clock.now_ns() == 4
+    sim.run()
+    assert seen == list(range(1, 11))
+
+
+def test_spawn_never_resumes_in_place():
+    sim = Simulation()
+    seen = []
+
+    def child():
+        seen.append(("child starts", sim.clock.now_ns()))
+        yield Sleep(5)
+        seen.append(("child wakes", sim.clock.now_ns()))
+
+    def parent():
+        yield Sleep(1)
+        sim.spawn(child())
+        seen.append(("parent", sim.clock.now_ns()))
+        yield Sleep(1)
+        seen.append(("parent", sim.clock.now_ns()))
+
+    sim.spawn(child())
+    assert seen == [("child starts", 0)] and sim.clock.now_ns() == 0
+    sim.spawn(parent())
+    sim.run()
+    assert seen == [
+        ("child starts", 0),
+        ("child starts", 1),
+        ("parent", 1),
+        ("parent", 2),
+        ("child wakes", 5),
+        ("child wakes", 6),
+    ]
+
+
+def test_random_tasks_match_the_reference_scheduler():
+    # Many tasks with tied and zero sleeps, plain callbacks at fixed
+    # instants, a horizon and sliced runs: the resumed-in-place trace is
+    # the plain heap loop's trace.
+    def trace(sim_class, seed, slices):
+        rng = random.Random(seed)
+        sim = sim_class()
+        seen = []
+
+        def actor(name):
+            for _ in range(rng.randint(1, 30)):
+                yield Sleep(rng.choice([0, 0, 0, 1, 2, 5]))
+                seen.append((sim.clock.now_ns(), name))
+
+        for name in range(rng.randint(1, 5)):
+            sim.spawn(actor(name))
+        for t in sorted(rng.sample(range(40), 6)):
+            sim.call_at(t, lambda t=t: seen.append((t, "callback")))
+        for until in slices:
+            sim.run(until)
+        sim.run(60)
+        return seen, sim.clock.now_ns(), len(sim._heap)
+
+    for seed in range(40):
+        slices = sorted(random.Random(-seed).sample(range(50), seed % 5))
+        expected = trace(ReferenceSimulation, seed, [])
+        assert trace(Simulation, seed, slices) == expected
+        assert trace(Simulation, seed, []) == expected
 
 
 def test_task_runs_to_completion():
