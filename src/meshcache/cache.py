@@ -13,7 +13,6 @@ bound memory and never affects correctness.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -71,35 +70,31 @@ class Cache:
         self._clock = clock
         self._log = log
         self._store: dict[bytes, CacheEntry] = {}
-        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._insertions = 0
         self._expirations = 0
 
     def size(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
     def snapshot_stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(self._hits, self._misses, self._insertions, self._expirations)
+        return CacheStats(self._hits, self._misses, self._insertions, self._expirations)
 
     def handle(self, request: Message) -> Generator:
         """Handler generator: serve fresh entries, otherwise fill from upstream."""
         key = cache_key(request.method, request.payload)
-        with self._lock:
-            now_ns = self._clock.now_ns()
-            entry = self._store.get(key)
-            if entry is not None and now_ns < entry.expires_at_ns:
-                self._hits += 1
-                hit = entry.response
-            else:
-                if entry is not None:
-                    del self._store[key]
-                    self._expirations += 1
-                self._misses += 1
-                hit = None
+        now_ns = self._clock.now_ns()
+        entry = self._store.get(key)
+        if entry is not None and now_ns < entry.expires_at_ns:
+            self._hits += 1
+            hit = entry.response
+        else:
+            if entry is not None:
+                del self._store[key]
+                self._expirations += 1
+            self._misses += 1
+            hit = None
         if self._log is not None:
             event = "hit" if hit is not None else "miss"
             self._log.record(now_ns, "cache", request.method, event)
@@ -110,21 +105,17 @@ class Cache:
         if response.ok:
             ttl_s = parse_max_age(response.metadata_value("cache-control"))
             if ttl_s is not None and ttl_s >= 1:
-                with self._lock:
-                    inserted_ns = self._clock.now_ns()
-                    self._store[key] = CacheEntry(
-                        key, response, inserted_ns + seconds_to_ns(ttl_s)
-                    )
-                    self._insertions += 1
+                inserted_ns = self._clock.now_ns()
+                self._store[key] = CacheEntry(key, response, inserted_ns + seconds_to_ns(ttl_s))
+                self._insertions += 1
         return response
 
     def expire_scan(self, now_ns: int | None = None) -> int:
         """Drop every entry with expires_at <= now; returns how many."""
         if now_ns is None:
             now_ns = self._clock.now_ns()
-        with self._lock:
-            dead = [k for k, e in self._store.items() if e.expires_at_ns <= now_ns]
-            for k in dead:
-                del self._store[k]
-            self._expirations += len(dead)
-            return len(dead)
+        dead = [k for k, e in self._store.items() if e.expires_at_ns <= now_ns]
+        for k in dead:
+            del self._store[k]
+        self._expirations += len(dead)
+        return len(dead)

@@ -7,9 +7,12 @@ yield effects instead of blocking:
     yield Sleep(delay_ns)                          # pause this actor
 
 A link's exchange() is a generator step. A virtual link (sim.py) runs the
-hop inside the caller's generator, so its event loop only sees Sleep; a
-TCP link yields one Call, which drive() performs as a blocking send, and
-drive() turns Sleep into a real sleep. Handlers may also be plain
+hop inside the caller's generator, so its event loop only sees Sleep. A
+TCP link yields one Call: the TCP backend's selector loop (tcp.py)
+performs it without blocking and resumes the generator when the response
+arrives, while drive(), the blocking interpreter for code off that loop,
+performs it with the link's send() and turns Sleep into a real sleep.
+Handlers may also be plain
 functions that return a response directly; invoke_handler() normalizes
 both shapes and converts uncaught handler exceptions into ERROR responses
 so one bad request never takes down a connection or a simulation.
@@ -44,9 +47,10 @@ class Sleep:
 
 @dataclass(frozen=True)
 class Call:
-    """A blocking round trip for drive() to perform: link.send(message)."""
+    """One round trip over a link: drive() performs it as link.send(message),
+    the TCP backend's loop without blocking."""
 
-    link: Any  # anything with a blocking send(request) -> response
+    link: Any  # drive() needs a blocking send(request) -> response; the loop a TcpLink
     message: Message
 
 

@@ -17,7 +17,6 @@ so the table tracks only recently requested keys.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Generator, Iterable
 
 from .clock import Clock, seconds_to_ns
@@ -63,16 +62,6 @@ def blacklist_matches(patterns: Iterable[str], method: str) -> bool:
     return False
 
 
-class _KeySlot:
-    """History holder with its own lock so distinct keys update independently."""
-
-    __slots__ = ("lock", "history")
-
-    def __init__(self, history: ObservationHistory) -> None:
-        self.lock = threading.Lock()
-        self.history = history
-
-
 class Estimator:
     """Forwarding sidecar that annotates responses with TTL estimates."""
 
@@ -96,16 +85,14 @@ class Estimator:
         self._housekeeping_after_ns = seconds_to_ns(housekeeping_after_s)
         self._max_ttl_cap = max_ttl_cap
         self._depth = required_history_depth(algorithm)
-        self._table: dict[bytes, _KeySlot] = {}
-        self._table_lock = threading.Lock()
+        self._table: dict[bytes, ObservationHistory] = {}
 
     @property
     def housekeeping_after_s(self) -> float:
         return self._housekeeping_after_ns / 1e9
 
     def table_size(self) -> int:
-        with self._table_lock:
-            return len(self._table)
+        return len(self._table)
 
     def handle(self, request: Message) -> Generator:
         """Handler generator: forward upstream, observe, annotate."""
@@ -117,18 +104,13 @@ class Estimator:
             return response.with_metadata("cache-control", "max-age=0")
 
         key = cache_key(request.method, request.payload)
-        with self._table_lock:
-            slot = self._table.get(key)
-            if slot is None:
-                slot = _KeySlot(empty_history(self._depth))
-                self._table[key] = slot
+        history = self._table.get(key)
+        if history is None:
+            history = empty_history(self._depth)
         digest = response_digest(response.payload)
-        # now is read under the slot lock so per-key observations stay
-        # monotonic even when requests race on the real clock.
-        with slot.lock:
-            now_ns = self._clock.now_ns()
-            slot.history = observe(slot.history, now_ns, digest)
-            ttl = estimate(self._algorithm, slot.history, now_ns, self._max_ttl_cap)
+        now_ns = self._clock.now_ns()
+        history = self._table[key] = observe(history, now_ns, digest)
+        ttl = estimate(self._algorithm, history, now_ns, self._max_ttl_cap)
         if self._log is not None:
             self._log.record(now_ns, "estimator", request.method, "estimate", str(ttl))
         return response.with_metadata("cache-control", f"max-age={ttl}")
@@ -137,19 +119,15 @@ class Estimator:
         """Evict entries idle longer than the housekeeping window."""
         if now_ns is None:
             now_ns = self._clock.now_ns()
-        with self._table_lock:
-            items = list(self._table.items())
-        evicted = 0
-        for key, slot in items:
-            with slot.lock:
-                touched = slot.history.last_touched
-                stale = touched is not None and now_ns - touched > self._housekeeping_after_ns
-            if stale:
-                with self._table_lock:
-                    if self._table.get(key) is slot:
-                        del self._table[key]
-                        evicted += 1
-        return evicted
+        stale = [
+            key
+            for key, history in self._table.items()
+            if history.last_touched is not None
+            and now_ns - history.last_touched > self._housekeeping_after_ns
+        ]
+        for key in stale:
+            del self._table[key]
+        return len(stale)
 
 
 def housekeeping_loop(estimator: Estimator, end_ns: int, clock: Clock) -> Generator:

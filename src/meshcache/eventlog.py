@@ -7,14 +7,14 @@ Row format, one event per line:
 value may be empty (cache hit/miss rows leave it blank). Each row is an
 EventRow, a named tuple: the log holds one per event, so it is kept as
 small and as cheap to build as a tuple (and compares equal to the plain
-tuple of its fields). The log is an in-memory list guarded by a lock so
-actors on different threads (the TCP backend) can interleave safely; the
-virtual backend is single-threaded and pays only the lock overhead.
+tuple of its fields). The log is a plain in-memory list with no lock:
+both backends run every component that records on one thread (the
+virtual scheduler's, or the TCP backend's loop), and callers read the
+rows once the run has ended.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 
@@ -33,10 +33,9 @@ class EventRow(NamedTuple):
 
 
 class EventLog:
-    """Thread-safe in-memory event sink."""
+    """In-memory event sink."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._rows: list[EventRow] = []
 
     def record(
@@ -47,13 +46,10 @@ class EventLog:
         event: str,
         value: str = "",
     ) -> None:
-        row = EventRow(timestamp_ns, component, method, event, value)
-        with self._lock:
-            self._rows.append(row)
+        self._rows.append(EventRow(timestamp_ns, component, method, event, value))
 
     def rows(self) -> list[EventRow]:
-        with self._lock:
-            return list(self._rows)
+        return list(self._rows)
 
     def render(self) -> str:
         """Whole log as CSV text, rows sorted by timestamp (stable)."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -46,11 +45,11 @@ from .config import (
     parse_config_id,
     parse_estimator_config,
 )
-from .effects import Handler, Link, Sleep, drive
+from .effects import Handler, Link, Sleep
 from .estimator import Estimator, housekeeping_loop
 from .eventlog import EventLog, EventRow, parse_event_log
 from .sim import Simulation
-from .tcp import ServerHandle, TcpLink, serve
+from .tcp import ServerHandle, TcpLink, run_actors, serve
 from .workload import (
     GET_METHOD,
     PHASE_SHIFTS,
@@ -366,26 +365,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 sim.spawn(actor)
             sim.run(until_ns=end_ns)
         else:
-            # A thread's exception would only be printed; keep it, so that a
-            # crashed actor fails the run as it does on the virtual clock.
-            errors: list[BaseException] = []
-
-            def run_actor(actor: Generator) -> None:
-                try:
-                    drive(actor, clock)
-                except BaseException as exc:  # noqa: BLE001 - re-raised after join
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=run_actor, args=(actor,), daemon=True)
-                for actor in actors
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
+            # A crashed actor ends the run at once, as on the virtual clock.
+            run_actors(actors)
     # The windows' TTL sums run in timestamp order, which fixes their rounding.
     rows = sorted(log.rows(), key=lambda r: r.timestamp_ns)
     metrics = compute_windows(rows, start_ns, cfg.duration_s)

@@ -1,125 +1,457 @@
-"""Framed TCP backend: a threaded unary server and a blocking client link.
+"""Framed TCP backend: one selector loop per process, and a blocking client link.
 
-One frame per unary message (see wire.py). Connections carry frames
-sequentially; the server answers each request before reading the next one
-on that connection, while separate connections are served concurrently.
-Request ids are assigned per link and echoed by the server so a response
-can be matched even when a handler returns a stored (cached) message.
+One frame per unary message (see wire.py). The first serve() starts the
+process's loop, a daemon thread running one `selectors` loop, and every
+server, link and real-clock actor of the process runs on it without
+blocking. A served connection starts a task, invoke_handler(handler,
+request), for each request frame as the frame arrives, and answers each
+task when it finishes, tagged with that request's id; so the replies on
+one connection may come out of order.
+
+The loop interprets the effects drive() interprets. Sleep is a timer on
+the system clock. Call(link, request) assigns the link's next request id,
+queues the frame on the link's own non-blocking connection and parks the
+task under that id until the response carrying it arrives, so the
+requests a link has in flight share one connection. A peer close, a bad
+frame or a request older than the link's timeout fails every request in
+flight on that link with TransportError, and the next exchange
+reconnects.
+
+TcpLink.send() is the blocking form, for threads other than the loop's:
+a direct round trip on a connection of its own, one link per thread.
 """
 
 from __future__ import annotations
 
+import errno
+import heapq
+import itertools
+import os
+import selectors
 import socket
 import struct
 import threading
-from typing import Generator
+import time
+import traceback
+from collections import deque
+from collections.abc import Callable, Generator, Sequence
+from functools import partial
+from typing import Any
 
-from .clock import Clock, SystemClock
-from .effects import Call, Handler, TransportError, drive, invoke_handler
-from .wire import MAX_FRAME_LEN, DecodeError, Message, OversizeFrameError, decode, encode
+from .clock import Clock, SystemClock, seconds_to_ns
+from .effects import Call, Handler, Sleep, TransportError, drive, invoke_handler  # noqa: F401
+from .wire import MAX_FRAME_LEN, DecodeError, EncodeError, Message, OversizeFrameError, decode, encode
+
+# tcp.drive stays importable: bench/tracer.py wraps it by that name.
+
+_PREFIX = struct.Struct(">I")
+_RECV_SIZE = 65536
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        buf.extend(chunk)
-    return bytes(buf)
+class _FrameReader:
+    """Splits a byte stream into whole frames, keeping a partial one."""
+
+    __slots__ = ("_pending",)
+
+    def __init__(self) -> None:
+        self._pending = bytearray()
+
+    def feed(self, data: bytes) -> list[bytes]:
+        """Whole frames completed by data; an oversize length prefix raises.
+
+        The cap is checked before the frame is buffered, so a peer that
+        lies about a huge length is refused without reading it out.
+        """
+        pending = self._pending
+        if pending:
+            pending += data
+            data = pending
+        frames = []
+        pos, size = 0, len(data)
+        while size - pos >= 4:
+            (total,) = _PREFIX.unpack_from(data, pos)
+            if total > MAX_FRAME_LEN:
+                raise OversizeFrameError(
+                    f"declared frame length {total} exceeds {MAX_FRAME_LEN} byte cap"
+                )
+            end = pos + 4 + total
+            if end > size:
+                break
+            # A read that is exactly one frame is passed on without a copy.
+            frames.append(data if end - pos == size and not pending else bytes(data[pos:end]))
+            pos = end
+        if pending:
+            del pending[:pos]
+        elif pos < size:
+            pending += data[pos:]
+        return frames
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
-    prefix = _recv_exact(sock, 4)
-    (total,) = struct.unpack(">I", prefix)
-    # decode() re-checks the cap; reject before allocating for huge lies.
-    if total > MAX_FRAME_LEN:
-        raise OversizeFrameError(f"declared frame length {total} exceeds {MAX_FRAME_LEN} byte cap")
-    return prefix + _recv_exact(sock, total)
+def _read_response(frame: bytes, in_flight: dict[int, Any]) -> tuple[Message, Any]:
+    """Decode a frame a link read and pop what waits for its request id.
+
+    A bad frame, a request frame or an id nothing waits for is a
+    TransportError, after which the link drops its connection.
+    """
+    try:
+        response = decode(frame)
+    except DecodeError as exc:
+        raise TransportError(f"peer sent a bad frame: {exc}") from exc
+    if response.is_request or response.request_id not in in_flight:
+        raise TransportError("response does not match the request id")
+    return response, in_flight.pop(response.request_id)
+
+
+class _Loop:
+    """The process's selector loop: timers, sockets, and hand-ins from other threads."""
+
+    def __init__(self) -> None:
+        self.selector = selectors.DefaultSelector()
+        self._timers: list[tuple[int, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
+        self._ready: deque[Callable[[], None]] = deque()
+        # Other threads append here and write one byte to the pipe.
+        self._handed_in: deque[Callable[[], None]] = deque()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self.selector.register(self._wake_r, selectors.EVENT_READ, self._on_wake)
+        self._thread = threading.Thread(target=self._run, name="meshcache-loop", daemon=True)
+        self._thread.start()
+
+    def on_loop_thread(self) -> bool:
+        return threading.get_ident() == self._thread.ident
+
+    def call_at(self, deadline_ns: int, fn: Callable[[], None]) -> None:
+        heapq.heappush(self._timers, (deadline_ns, next(self._seq), fn))
+
+    def soon(self, fn: Callable[[], None]) -> None:
+        """Run fn on the loop's next turn (loop thread only)."""
+        self._ready.append(fn)
+
+    def hand_in(self, fn: Callable[[], None]) -> None:
+        """Run fn on the loop; callable from any thread."""
+        if self.on_loop_thread():
+            self._ready.append(fn)
+            return
+        self._handed_in.append(fn)
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full, so the loop is already due to wake
+
+    def run_sync(self, fn: Callable[[], Any]) -> Any:
+        """Run fn on the loop and wait for its result; callable from any thread."""
+        if self.on_loop_thread():
+            return fn()
+        done = threading.Event()
+        outcome: list = [None, None]
+
+        def call() -> None:
+            try:
+                outcome[0] = fn()
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
+                outcome[1] = exc
+            finally:
+                done.set()
+
+        self.hand_in(call)
+        done.wait()
+        if outcome[1] is not None:
+            raise outcome[1]
+        return outcome[0]
+
+    def _on_wake(self, events: int) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+        handed_in = self._handed_in
+        while handed_in:
+            self._ready.append(handed_in.popleft())
+
+    def _run(self) -> None:
+        select = self.selector.select
+        timers, ready = self._timers, self._ready
+        while True:
+            try:
+                if ready:
+                    timeout: float | None = 0.0
+                elif timers:
+                    timeout = max(0.0, (timers[0][0] - time.monotonic_ns()) / 1e9)
+                else:
+                    timeout = None
+                for key, events in select(timeout):
+                    key.data(events)
+                now = time.monotonic_ns()
+                while timers and timers[0][0] <= now:
+                    heapq.heappop(timers)[2]()
+                for _ in range(len(ready)):
+                    ready.popleft()()
+            except Exception:  # noqa: BLE001 - the loop serves every other socket
+                traceback.print_exc()
+
+
+_loop: _Loop | None = None
+_loop_lock = threading.Lock()
+
+
+def _the_loop() -> _Loop:
+    """The process's loop, started on first use."""
+    global _loop
+    if _loop is None:
+        with _loop_lock:
+            if _loop is None:
+                _loop = _Loop()
+    return _loop
+
+
+class _Task:
+    """An effect generator resumed by the loop.
+
+    done(result, error) is called once, when the generator returns or
+    raises. Effects are performed as drive() performs them, except that
+    nothing blocks; an effect that cannot be performed is thrown into the
+    generator, as drive() throws a link's TransportError.
+    """
+
+    __slots__ = ("_loop", "_gen", "_done")
+
+    def __init__(self, loop: _Loop, gen: Generator, done: Callable[[Any, BaseException | None], None]):
+        self._loop = loop
+        self._gen: Generator | None = gen
+        self._done = done
+
+    def step(self, value: Any = None, error: BaseException | None = None) -> None:
+        gen = self._gen
+        if gen is None:
+            return  # finished or cancelled; a late wake-up does nothing
+        try:
+            effect = gen.send(value) if error is None else gen.throw(error)
+        except StopIteration as stop:
+            self._gen = None
+            self._done(stop.value, None)
+            return
+        except Exception as exc:  # noqa: BLE001 - handed to whoever waits for the task
+            self._gen = None
+            self._done(None, exc)
+            return
+        try:
+            if isinstance(effect, Call):
+                if not isinstance(effect.link, TcpLink):
+                    raise TypeError(f"the loop performs Call only on a TcpLink, got {effect.link!r}")
+                effect.link._start(self._loop, effect.message, self)
+            elif isinstance(effect, Sleep):
+                self._loop.call_at(time.monotonic_ns() + effect.duration_ns, self.step)
+            else:
+                raise TypeError(f"unknown effect {effect!r}")
+        except Exception as exc:  # noqa: BLE001 - thrown into the task on the next turn
+            self.fail_later(exc)
+
+    def fail_later(self, error: BaseException) -> None:
+        """Throw error into the task on the loop's next turn, not from inside the caller."""
+        self._loop.soon(partial(self.step, None, error))
+
+    def cancel(self) -> None:
+        gen, self._gen = self._gen, None
+        if gen is not None:
+            gen.close()
+
+
+class _Connection:
+    """One non-blocking socket on the loop, with its frame reader and write buffer.
+
+    on_frame(conn, frame) gets each whole frame as it arrives;
+    on_close(conn, reason) is called once, when the connection closes for
+    any reason.
+    """
+
+    __slots__ = ("_loop", "_sock", "_reader", "_out", "_connecting", "_on_frame", "_on_close", "closed")
+
+    def __init__(
+        self,
+        loop: _Loop,
+        sock: socket.socket,
+        on_frame: Callable[["_Connection", bytes], None],
+        on_close: Callable[["_Connection", BaseException], None],
+        connecting: bool = False,
+    ) -> None:
+        self._loop = loop
+        self._sock = sock
+        self._reader = _FrameReader()
+        self._out = bytearray()
+        self._connecting = connecting
+        self._on_frame = on_frame
+        self._on_close = on_close
+        self.closed = False
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if connecting else 0)
+        loop.selector.register(sock, events, self._on_event)
+
+    @classmethod
+    def connect(
+        cls,
+        loop: _Loop,
+        address: tuple[str, int],
+        on_frame: Callable[["_Connection", bytes], None],
+        on_close: Callable[["_Connection", BaseException], None],
+    ) -> "_Connection":
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            err = sock.connect_ex(address)
+            if err not in (0, errno.EINPROGRESS):
+                raise ConnectionError(os.strerror(err))
+        except OSError:
+            sock.close()
+            raise
+        return cls(loop, sock, on_frame, on_close, connecting=err != 0)
+
+    def _on_event(self, events: int) -> None:
+        if events & selectors.EVENT_WRITE:
+            self._flush()
+        if events & selectors.EVENT_READ and not self.closed:
+            self._read()
+
+    def _read(self) -> None:
+        try:
+            data = self._sock.recv(_RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self.close(exc)
+            return
+        if not data:
+            self.close(ConnectionError("peer closed the connection"))
+            return
+        try:
+            frames = self._reader.feed(data)
+        except OversizeFrameError as exc:
+            self.close(exc)
+            return
+        for frame in frames:
+            if self.closed:
+                return
+            self._on_frame(self, frame)
+
+    def write(self, frame: bytes) -> None:
+        """Send frame, buffering what the socket does not take now."""
+        if self.closed:
+            return
+        if self._out or self._connecting:
+            self._out += frame
+            return
+        try:
+            sent = self._sock.send(frame)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError as exc:
+            self.close(exc)
+            return
+        if sent < len(frame):
+            self._out += memoryview(frame)[sent:]
+            self._loop.selector.modify(
+                self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self._on_event
+            )
+
+    def _flush(self) -> None:
+        if self._connecting:
+            err = self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if err:
+                self.close(ConnectionError(f"connect failed: {os.strerror(err)}"))
+                return
+            self._connecting = False
+        if self._out:
+            try:
+                sent = self._sock.send(self._out)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError as exc:
+                self.close(exc)
+                return
+            del self._out[:sent]
+        if not self._out:
+            self._loop.selector.modify(self._sock, selectors.EVENT_READ, self._on_event)
+
+    def close(self, reason: BaseException) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self._loop.selector.unregister(self._sock)
+        self._sock.close()
+        self._on_close(self, reason)
 
 
 class ServerHandle:
     """Running server; close() stops accepting and drops open connections."""
 
-    def __init__(self, listener: socket.socket, handler: Handler, clock: Clock) -> None:
+    def __init__(self, loop: _Loop, listener: socket.socket, handler: Handler) -> None:
+        self._loop = loop
         self._listener = listener
         self._handler = handler
-        self._clock = clock
-        self._conns: set[socket.socket] = set()
-        self._lock = threading.Lock()
+        self._conns: set[_Connection] = set()
         self._closed = False
         self.address: tuple[str, int] = listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
+    def _open(self) -> None:
+        self._loop.selector.register(self._listener, selectors.EVENT_READ, self._accept)
+
+    def _accept(self, events: int) -> None:
+        while True:
             try:
-                conn, _ = self._listener.accept()
+                sock, _ = self._listener.accept()
             except OSError:
-                return
-            with self._lock:
-                if self._closed:
-                    conn.close()
-                    return
-                self._conns.add(conn)
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
+                return  # nothing left to accept (or no descriptor to take it with)
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conns.add(_Connection(self._loop, sock, self._serve_frame, self._forget))
 
-    def _serve_conn(self, conn: socket.socket) -> None:
+    def _forget(self, conn: _Connection, reason: BaseException) -> None:
+        self._conns.discard(conn)
+
+    def _serve_frame(self, conn: _Connection, frame: bytes) -> None:
         try:
-            while True:
-                try:
-                    raw = _recv_frame(conn)
-                except (ConnectionError, OSError):
-                    return
-                except DecodeError:
-                    # Oversize length prefix: drop the connection rather than
-                    # trust the declared length enough to even read it out.
-                    return
-                try:
-                    request = decode(raw)
-                except DecodeError as exc:
-                    reply = Message.error_response("", f"bad frame: {exc}")
-                    conn.sendall(encode(reply))
-                    continue
-                if not request.is_request:
-                    reply = Message.error_response(
-                        request.method, "expected a request frame", request.request_id
-                    )
-                else:
-                    reply = drive(invoke_handler(self._handler, request), self._clock)
-                    reply = reply.with_request_id(request.request_id)
-                try:
-                    conn.sendall(encode(reply))
-                except OSError:
-                    return
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
+            request = decode(frame)
+        except DecodeError as exc:
+            conn.write(encode(Message.error_response("", f"bad frame: {exc}")))
+            return
+        if not request.is_request:
+            conn.write(encode(Message.error_response(
+                request.method, "expected a request frame", request.request_id
+            )))
+            return
+        answer = partial(self._answer, conn, request)
+        _Task(self._loop, invoke_handler(self._handler, request), answer).step()
+
+    @staticmethod
+    def _answer(
+        conn: _Connection, request: Message, response: Message | None, error: BaseException | None
+    ) -> None:
+        if conn.closed:
+            return
+        if error is None:
             try:
-                conn.close()
-            except OSError:
-                pass
+                frame = encode(response.with_request_id(request.request_id))  # type: ignore[union-attr]
+            except EncodeError as exc:
+                error = exc
+        if error is not None:
+            frame = encode(Message.error_response(
+                request.method, f"{type(error).__name__}: {error}", request.request_id
+            ))
+        conn.write(frame)
+
+    def _shutdown(self) -> None:
+        self._loop.selector.unregister(self._listener)
+        self._listener.close()
+        for conn in list(self._conns):
+            conn.close(ConnectionError("server closed"))
 
     def close(self) -> None:
+        if self._closed:
+            return
         self._closed = True
-        # close() alone leaves a thread blocked in accept() asleep for good;
-        # shutdown() wakes it with an error.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._accept_thread.join(timeout=5.0)
+        self._loop.run_sync(self._shutdown)
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -134,36 +466,154 @@ def serve(
     port: int = 0,
     clock: Clock | None = None,
 ) -> ServerHandle:
-    """Bind and start serving; returns immediately with the bound address.
+    """Bind and start serving on the process's loop; returns the bound address at once.
 
     Handlers follow the effects.py contract: plain function or effect
     generator; exceptions surface to the client as ERROR responses and the
-    connection survives.
+    connection survives. A handler runs on the loop thread, so it must
+    not block: it waits by yielding Sleep or an exchange. The loop's
+    timers run on the system clock, so clock, if given, must be one.
     """
+    if clock is not None and not isinstance(clock, SystemClock):
+        raise ValueError("the TCP backend runs on the system clock")
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(64)
-    handle = ServerHandle(listener, handler, clock or SystemClock())
-    handle._accept_thread.start()
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(64)
+        listener.setblocking(False)
+    except OSError:
+        listener.close()
+        raise
+    loop = _the_loop()
+    handle = ServerHandle(loop, listener, handler)
+    loop.hand_in(handle._open)
     return handle
 
 
-class TcpLink:
-    """Blocking link over one TCP connection.
+def run_actors(actors: Sequence[Generator]) -> None:
+    """Run effect generators on the loop and wait until all have returned.
 
-    exchange() yields one Call effect, which drive() performs with send().
-    send() is serialized with an internal lock so a link instance can be
-    shared by the threads of one component; each call gets a fresh request
-    id and the response id must match.
+    The first one to raise ends the run: the others are closed where they
+    are suspended, and its exception is raised here. Call it from a
+    thread other than the loop's, which it waits for.
+    """
+    if not actors:
+        return
+    loop = _the_loop()
+    done = threading.Event()
+    left = len(actors)
+    failure: BaseException | None = None
+    tasks: list[_Task] = []
+
+    def finished(result: Any, error: BaseException | None) -> None:
+        nonlocal left, failure
+        if done.is_set():
+            return
+        if error is not None:
+            failure = error
+            try:
+                for task in tasks:
+                    task.cancel()
+            finally:
+                done.set()
+            return
+        left -= 1
+        if left == 0:
+            done.set()
+
+    def start() -> None:
+        tasks.extend(_Task(loop, actor, finished) for actor in actors)
+        for task in tasks:
+            task.step()
+
+    loop.hand_in(start)
+    done.wait()
+    if failure is not None:
+        raise failure
+
+
+class TcpLink:
+    """Link over TCP: multiplexed on the loop, or blocking with send().
+
+    exchange() yields one Call effect. On the loop, the Call shares the
+    link's one loop connection with the link's other requests in flight;
+    each gets the next request id and is matched to the response carrying
+    it, whatever order the responses come in. send() is a blocking round
+    trip on a separate connection owned by the calling thread: use one
+    link per thread, and never call it on the loop thread.
     """
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 10.0) -> None:
         self._address = address
         self._timeout_s = timeout_s
+        self._timeout_ns = seconds_to_ns(timeout_s)
+        self._ids = itertools.count(1)
+        # The blocking connection of send().
         self._sock: socket.socket | None = None
-        self._next_id = 1
-        self._lock = threading.Lock()
+        self._reader = _FrameReader()
+        # The loop connection: request id -> (task, deadline) of each request in flight.
+        self._conn: _Connection | None = None
+        self._in_flight: dict[int, tuple[_Task, int]] = {}
+        self._timer_armed = False
+
+    def exchange(self, request: Message) -> Generator:
+        return (yield Call(self, request))
+
+    # On the loop ---------------------------------------------------------
+
+    def _start(self, loop: _Loop, request: Message, task: _Task) -> None:
+        if not request.is_request:
+            raise ValueError("links only send requests")
+        request_id = next(self._ids)
+        frame = encode(request.with_request_id(request_id))
+        conn = self._conn
+        if conn is None:
+            try:
+                conn = _Connection.connect(loop, self._address, self._on_frame, self._on_close)
+            except OSError as exc:
+                raise TransportError(f"connect to {self._address} failed: {exc}") from exc
+            self._conn = conn
+        now = time.monotonic_ns()
+        self._in_flight[request_id] = (task, now + self._timeout_ns)
+        if not self._timer_armed:
+            self._timer_armed = True
+            loop.call_at(now + self._timeout_ns, partial(self._check_deadline, loop))
+        conn.write(frame)
+
+    def _on_frame(self, conn: _Connection, frame: bytes) -> None:
+        try:
+            response, (task, _) = _read_response(frame, self._in_flight)
+        except TransportError as exc:
+            conn.close(exc)
+            return
+        task.step(response)
+
+    def _on_close(self, conn: _Connection, reason: BaseException) -> None:
+        self._conn = None
+        if not isinstance(reason, TransportError):
+            reason = TransportError(f"round trip to {self._address} failed: {reason}")
+        in_flight, self._in_flight = self._in_flight, {}
+        for task, _ in in_flight.values():
+            task.fail_later(reason)
+
+    def _check_deadline(self, loop: _Loop) -> None:
+        """Fail the link if its oldest request is overdue; else wait for that one."""
+        self._timer_armed = False
+        if not self._in_flight:
+            return
+        # Every request gets the same timeout, so the first in is the first due.
+        _, deadline_ns = next(iter(self._in_flight.values()))
+        if deadline_ns <= time.monotonic_ns():
+            timeout = TransportError(
+                f"round trip to {self._address} timed out after {self._timeout_s} s"
+            )
+            self._conn.close(timeout)  # type: ignore[union-attr]
+        else:
+            self._timer_armed = True
+            loop.call_at(deadline_ns, partial(self._check_deadline, loop))
+
+    # Blocking -----------------------------------------------------------
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
@@ -175,34 +625,33 @@ class TcpLink:
             self._sock = sock
         return self._sock
 
-    def exchange(self, request: Message) -> Generator:
-        return (yield Call(self, request))
-
     def send(self, request: Message) -> Message:
         if not request.is_request:
             raise ValueError("links only send requests")
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            tagged = request.with_request_id(request_id)
-            try:
-                sock = self._connect()
-                sock.sendall(encode(tagged))
-                raw = _recv_frame(sock)
-            except (OSError, ConnectionError) as exc:
-                self._drop()
-                raise TransportError(f"round trip to {self._address} failed: {exc}") from exc
-            try:
-                response = decode(raw)
-            except DecodeError as exc:
-                self._drop()
-                raise TransportError(f"peer sent a bad frame: {exc}") from exc
-            if response.is_request or response.request_id != request_id:
-                self._drop()
+        request_id = next(self._ids)
+        frame = encode(request.with_request_id(request_id))
+        try:
+            sock = self._connect()
+            sock.sendall(frame)
+            frames: list[bytes] = []
+            while not frames:
+                data = sock.recv(_RECV_SIZE)
+                if not data:
+                    raise ConnectionError("peer closed the connection")
+                frames = self._reader.feed(data)
+            if len(frames) > 1:
                 raise TransportError("response does not match the request id")
-            return response
+            response, _ = _read_response(frames[0], {request_id: None})
+        except (OSError, DecodeError) as exc:
+            self._drop()
+            raise TransportError(f"round trip to {self._address} failed: {exc}") from exc
+        except TransportError:
+            self._drop()
+            raise
+        return response
 
     def _drop(self) -> None:
+        self._reader = _FrameReader()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -211,8 +660,13 @@ class TcpLink:
             self._sock = None
 
     def close(self) -> None:
-        with self._lock:
-            self._drop()
+        self._drop()
+        if self._conn is not None:
+            _the_loop().run_sync(self._close_on_loop)
+
+    def _close_on_loop(self) -> None:
+        if self._conn is not None:
+            self._conn.close(TransportError(f"link to {self._address} closed"))
 
     def __enter__(self) -> "TcpLink":
         return self

@@ -31,7 +31,6 @@ STATUS_ERROR = "error"
 
 _KIND_BYTE = {KIND_REQUEST: 0x00, KIND_RESPONSE: 0x01}
 _STATUS_BYTE = {STATUS_OK: 0x00, STATUS_ERROR: 0x01}
-_BYTE_KIND = {v: k for k, v in _KIND_BYTE.items()}
 _BYTE_STATUS = {v: k for k, v in _STATUS_BYTE.items()}
 
 
@@ -145,19 +144,19 @@ def validate_method_name(method: str) -> None:
 
 
 def _check(message: Message) -> None:
-    if message.kind not in _KIND_BYTE:
-        raise EncodeError(f"kind must be request or response, got {message.kind!r}")
-    if message.is_request:
-        if message.status is not None:
+    kind, method, status = message.kind, message.method, message.status
+    if kind not in _KIND_BYTE:
+        raise EncodeError(f"kind must be request or response, got {kind!r}")
+    if kind == KIND_REQUEST:
+        if status is not None:
             raise EncodeError("status is only valid on responses")
-        if not message.method:
+        if not method:
             raise EncodeError("method must be non-empty for requests")
-    else:
-        if message.status not in _STATUS_BYTE:
-            raise EncodeError(f"status must be ok or error on responses, got {message.status!r}")
-    if not _method_ok(message.method):
+    elif status not in _STATUS_BYTE:
+        raise EncodeError(f"status must be ok or error on responses, got {status!r}")
+    if not _method_ok(method):
         raise EncodeError("method must be ASCII without commas or newlines")
-    if len(message.method) > 0xFFFF:
+    if len(method) > 0xFFFF:
         raise EncodeError("method too long")
     if not 0 <= message.request_id <= 0xFFFFFFFFFFFFFFFF:
         raise EncodeError("request_id out of u64 range")
@@ -172,110 +171,114 @@ def _check(message: Message) -> None:
             raise EncodeError("metadata pair too long")
 
 
+# The fixed-size runs of the layout, packed and unpacked in one call each.
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_REQUEST_HEAD = struct.Struct(">IBH")  # length prefix, kind, method length
+_RESPONSE_HEAD = struct.Struct(">IBBH")  # length prefix, kind, status, method length
+_ID_AND_PAIRS = struct.Struct(">QH")  # request id, metadata pair count
+
+
 def encode(message: Message) -> bytes:
     """Serialize one message to a frame, byte-exact per the layout above."""
     _check(message)
-    parts = [b"", bytes([_KIND_BYTE[message.kind]])]
-    if not message.is_request:
-        parts.append(bytes([_STATUS_BYTE[message.status]]))  # type: ignore[index]
-    method_bytes = message.method.encode("ascii")
-    parts.append(struct.pack(">H", len(method_bytes)))
-    parts.append(method_bytes)
-    parts.append(struct.pack(">Q", message.request_id))
-    parts.append(struct.pack(">H", len(message.metadata)))
-    for key, value in message.metadata:
+    method = message.method.encode("ascii")
+    metadata = message.metadata
+    payload = message.payload
+    parts = [b"", method, _ID_AND_PAIRS.pack(message.request_id, len(metadata))]
+    for key, value in metadata:
         kb = key.encode("ascii")
         vb = value.encode("ascii")
-        parts.append(struct.pack(">H", len(kb)))
-        parts.append(kb)
-        parts.append(struct.pack(">H", len(vb)))
-        parts.append(vb)
-    parts.append(struct.pack(">I", len(message.payload)))
-    parts.append(message.payload)
-    body = b"".join(parts)
-    if len(body) > MAX_FRAME_LEN:
+        parts += (_U16.pack(len(kb)), kb, _U16.pack(len(vb)), vb)
+    parts.append(_U32.pack(len(payload)))
+    parts.append(payload)
+    request = message.kind == KIND_REQUEST
+    # The body is everything after the length prefix.
+    total = (3 if request else 4) + sum(map(len, parts))
+    if total > MAX_FRAME_LEN:
         raise EncodeError("payload pushes frame past the 16 MiB cap")
-    return struct.pack(">I", len(body)) + body
+    if request:
+        parts[0] = _REQUEST_HEAD.pack(total, 0x00, len(method))
+    else:
+        parts[0] = _RESPONSE_HEAD.pack(total, 0x01, _STATUS_BYTE[message.status], len(method))  # type: ignore[index]
+    return b"".join(parts)
 
 
-class _Reader:
-    __slots__ = ("buf", "pos", "end")
-
-    def __init__(self, buf: bytes, start: int, end: int) -> None:
-        self.buf = buf
-        self.pos = start
-        self.end = end
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise TruncatedFrameError("frame shorter than its declared field lengths")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-
-def _ascii(raw: bytes, what: str) -> str:
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise BadTextError(f"{what} is not ASCII") from exc
-    return text
+def _short() -> TruncatedFrameError:
+    return TruncatedFrameError("frame shorter than its declared field lengths")
 
 
 def decode(data: bytes) -> Message:
     """Parse exactly one frame; trailing bytes are an error.
 
-    Every length is validated against the buffer before reading, and the
-    resulting message must satisfy the same invariants encode() enforces.
+    One pass over the buffer: every length is validated against the
+    frame before it is read, and the resulting message must satisfy the
+    same invariants encode() enforces.
     """
-    if len(data) < 4:
+    size = len(data)
+    if size < 4:
         raise TruncatedFrameError("missing frame length prefix")
-    total = int.from_bytes(data[:4], "big")
+    (total,) = _U32.unpack_from(data)
     if total > MAX_FRAME_LEN:
         raise OversizeFrameError(f"declared frame length {total} exceeds 16 MiB cap")
-    if len(data) < 4 + total:
+    end = 4 + total
+    if size < end:
         raise TruncatedFrameError("frame body shorter than declared length")
-    if len(data) > 4 + total:
+    if size > end:
         raise TrailingBytesError("bytes present after the end of the frame")
-
-    r = _Reader(data, 4, 4 + total)
-    kind_byte = r.u8()
-    if kind_byte not in _BYTE_KIND:
+    if end < 5:
+        raise _short()
+    kind_byte = data[4]
+    if kind_byte == 0x00:
+        kind, status, pos = KIND_REQUEST, None, 5
+    elif kind_byte == 0x01:
+        if end < 6:
+            raise _short()
+        status = _BYTE_STATUS.get(data[5])
+        if status is None:
+            raise DecodeError(f"unknown status byte 0x{data[5]:02x}")
+        kind, pos = KIND_RESPONSE, 6
+    else:
         raise UnknownKindError(f"unknown kind byte 0x{kind_byte:02x}")
-    kind = _BYTE_KIND[kind_byte]
-    status: str | None = None
-    if kind == KIND_RESPONSE:
-        status_byte = r.u8()
-        if status_byte not in _BYTE_STATUS:
-            raise DecodeError(f"unknown status byte 0x{status_byte:02x}")
-        status = _BYTE_STATUS[status_byte]
-    method = _ascii(r.take(r.u16()), "method")
-    if not _method_ok(method):
-        raise BadTextError("method contains a comma or newline")
-    if kind == KIND_REQUEST and not method:
-        raise DecodeError("request method must be non-empty")
-    request_id = r.u64()
-    pair_count = r.u16()
-    metadata = []
-    for _ in range(pair_count):
-        key = _ascii(r.take(r.u16()), "metadata key")
-        value = _ascii(r.take(r.u16()), "metadata value")
-        if not key or key != key.lower():
-            raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
-        metadata.append((key, value))
-    payload = bytes(r.take(r.u32()))
-    if r.pos != r.end:
+    try:
+        if pos + 2 > end:
+            raise _short()
+        stop = pos + 2 + _U16.unpack_from(data, pos)[0]
+        if stop > end:
+            raise _short()
+        method = data[pos + 2 : stop].decode("ascii")
+        if not _method_ok(method):
+            raise BadTextError("method contains a comma or newline")
+        if kind_byte == 0x00 and not method:
+            raise DecodeError("request method must be non-empty")
+        pos = stop + 10
+        if pos > end:
+            raise _short()
+        request_id, pair_count = _ID_AND_PAIRS.unpack_from(data, stop)
+        metadata = []
+        for _ in range(pair_count):
+            if pos + 2 > end:
+                raise _short()
+            stop = pos + 2 + _U16.unpack_from(data, pos)[0]
+            if stop > end:
+                raise _short()
+            key = data[pos + 2 : stop].decode("ascii")
+            if stop + 2 > end:
+                raise _short()
+            pos = stop + 2 + _U16.unpack_from(data, stop)[0]
+            if pos > end:
+                raise _short()
+            value = data[stop + 2 : pos].decode("ascii")
+            if not key or key != key.lower():
+                raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
+            metadata.append((key, value))
+    except UnicodeDecodeError as exc:
+        raise BadTextError("method or metadata is not ASCII") from exc
+    if pos + 4 > end:
+        raise _short()
+    stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+    if stop > end:
+        raise _short()
+    if stop != end:
         raise DecodeError("declared frame length does not match field contents")
-    return Message(kind, method, payload, tuple(metadata), status, request_id)
+    return Message(kind, method, bytes(data[pos + 4 : stop]), tuple(metadata), status, request_id)

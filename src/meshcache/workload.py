@@ -31,7 +31,6 @@ lands mid-flight is not miscounted as staleness.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Generator
 from dataclasses import dataclass, replace
 
@@ -130,28 +129,18 @@ class ValueServer:
     """The upstream service: one value, GetValue/SetValue."""
 
     def __init__(self, initial_value: bytes = b"0") -> None:
-        self._lock = threading.Lock()
         self._value = initial_value
-        self._set_count = 0
-
-    @property
-    def set_count(self) -> int:
-        with self._lock:
-            return self._set_count
+        self.set_count = 0
 
     def current_value(self) -> bytes:
-        with self._lock:
-            return self._value
+        return self._value
 
     def handle(self, request: Message) -> Message:
         if request.method == GET_METHOD:
-            with self._lock:
-                value = self._value
-            return Message.response(GET_METHOD, value)
+            return Message.response(GET_METHOD, self._value)
         if request.method == SET_METHOD:
-            with self._lock:
-                self._value = request.payload
-                self._set_count += 1
+            self._value = request.payload
+            self.set_count += 1
             return Message.response(SET_METHOD)
         return Message.error_response(request.method, f"unknown method {request.method}")
 
@@ -159,24 +148,17 @@ class ValueServer:
 class StalenessLedger:
     """Shared truth between the update and query actors.
 
-    One writer (the updater) replaces expected_value atomically; the
+    One writer (the updater) replaces expected_value; the
     query actor reads it to classify each response. Outcomes are not
     counted here: every actor step logs its outcome, and the harness
     counts the log rows.
     """
 
     def __init__(self, initial_value: bytes = b"0") -> None:
-        self._lock = threading.Lock()
-        self._expected = initial_value
-
-    @property
-    def expected_value(self) -> bytes:
-        with self._lock:
-            return self._expected
+        self.expected_value = initial_value
 
     def publish(self, value: bytes) -> None:
-        with self._lock:
-            self._expected = value
+        self.expected_value = value
 
 
 def classify_response(

@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +279,21 @@ def test_a_crashed_actor_fails_the_run(monkeypatch, clock_mode):
     cfg = ExperimentConfig(config_id="static-1", duration_s=1.0, clock_mode=clock_mode)
     with pytest.raises(RuntimeError, match="update actor crashed"):
         run_experiment(cfg)
+
+
+def test_a_crashed_real_clock_actor_ends_the_run_at_once(monkeypatch):
+    def crashing_actor(*args):
+        raise RuntimeError("update actor crashed")
+        yield  # pragma: no cover - makes this a generator function
+
+    monkeypatch.setattr(harness, "update_actor", crashing_actor)
+    cfg = ExperimentConfig(config_id="static-1", duration_s=30.0, clock_mode="real")
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="update actor crashed"):
+        run_experiment(cfg)
+    assert time.monotonic() - start < 5.0
+    others = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    assert others == ["meshcache-loop"]
 
 
 TRACED_RUN =textwrap.dedent(

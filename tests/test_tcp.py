@@ -1,15 +1,26 @@
 """Framed TCP transport: server lifecycle, link behavior, error paths."""
 
+import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
+from meshcache.clock import NS_PER_MS as MS
 from meshcache.clock import SystemClock
-from meshcache.effects import Call, TransportError, drive
-from meshcache.tcp import TcpLink, serve
-from meshcache.wire import Message, decode, encode
+from meshcache.effects import Call, Sleep, TransportError, drive
+from meshcache.tcp import TcpLink, _FrameReader, run_actors, serve
+from meshcache.wire import MAX_FRAME_LEN, Message, OversizeFrameError, decode, encode
+
+
+def other_threads():
+    """Threads of this process beyond the main thread and the TCP loop's."""
+    return [
+        t for t in threading.enumerate()
+        if t is not threading.main_thread() and t.name != "meshcache-loop"
+    ]
 
 
 def echo_handler(request):
@@ -89,14 +100,14 @@ def test_exchange_failure_is_thrown_into_the_driven_actor():
     assert drive(actor(), SystemClock()) == "caught"
 
 
-def test_close_stops_the_accept_thread():
+def test_close_refuses_connects_and_leaves_only_the_loop_thread():
     handle = serve(echo_handler)
     with TcpLink(handle.address) as link:
-        # After one round trip the accept loop is back, blocked in accept().
         assert link.send(Message.request("Echo", b"x")).ok
     handle.close()
-    handle._accept_thread.join(timeout=5.0)
-    assert not handle._accept_thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(handle.address, timeout=5.0).close()
+    assert other_threads() == []
 
 
 def test_link_refuses_to_send_responses():
@@ -136,11 +147,17 @@ def test_oversize_length_prefix_does_not_allocate():
             assert sock.recv(1) == b""
 
 
-def test_concurrent_connections_are_served_in_parallel():
-    barrier = threading.Barrier(4, timeout=10.0)
+def test_concurrent_connections_are_in_flight_together():
+    arrived = []
 
     def handler(request):
-        barrier.wait()  # only passes if all requests are in flight at once
+        arrived.append(request.payload)
+        deadline = time.monotonic() + 10.0
+        # Only answers once all four requests have reached the handler.
+        while len(arrived) < 4:
+            if time.monotonic() > deadline:
+                raise TimeoutError("the requests were not in flight together")
+            yield Sleep(MS)
         return Message.response(request.method, request.payload)
 
     with serve(handler) as handle:
@@ -154,8 +171,144 @@ def test_concurrent_connections_are_served_in_parallel():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=15.0)
+            assert not t.is_alive()
     assert {r.payload for r in results.values()} == {b"0", b"1", b"2", b"3"}
+    assert all(r.ok for r in results.values())
+
+
+def test_one_link_multiplexes_requests_answered_out_of_order():
+    answered = []
+
+    def handler(request):
+        deadline = time.monotonic() + 10.0
+        # "first" is held back until "second" has been answered.
+        while request.payload == b"first" and not answered:
+            if time.monotonic() > deadline:
+                raise TimeoutError("the second request never arrived")
+            yield Sleep(MS)
+        answered.append(request.payload)
+        return Message.response(request.method, request.payload)
+
+    received = []
+    with serve(handler) as handle, TcpLink(handle.address) as link:
+
+        def actor(payload):
+            response = yield from link.exchange(Message.request("M", payload))
+            received.append((payload, response.payload, response.request_id))
+
+        run_actors([actor(b"first"), actor(b"second")])
+        assert len(handle._conns) == 1  # both requests shared one connection
+    assert answered == [b"second", b"first"]
+    assert received == [(b"second", b"second", 2), (b"first", b"first", 1)]
+
+
+def test_a_silent_peer_times_out_while_the_loop_serves_others():
+    silent = socket.create_server(("127.0.0.1", 0))  # accepts, never answers
+    stuck_link = TcpLink(silent.getsockname()[:2], timeout_s=0.5)
+    waited = []
+    echoes = []
+    with silent, serve(echo_handler) as handle, TcpLink(handle.address) as link:
+
+        def stuck():
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                yield from stuck_link.exchange(Message.request("M"))
+            waited.append(time.monotonic() - start)
+
+        def busy():
+            while not waited:
+                echoes.append((yield from link.exchange(Message.request("Echo", b"e"))))
+                yield Sleep(20 * MS)
+
+        run_actors([stuck(), busy()])
+        stuck_link.close()
+    assert 0.5 <= waited[0] < 2.0
+    assert len(echoes) >= 5 and all(r.payload == b"e" for r in echoes)
+
+
+def read_frames(sock, count):
+    """Read count whole frames from a blocking socket."""
+    buf = b""
+    frames = []
+    while len(frames) < count:
+        chunk = sock.recv(65536)
+        assert chunk, "peer closed early"
+        buf += chunk
+        while len(buf) >= 4 and len(buf) >= 4 + struct.unpack(">I", buf[:4])[0]:
+            end = 4 + struct.unpack(">I", buf[:4])[0]
+            frames.append(decode(buf[:end]))
+            buf = buf[end:]
+    return frames
+
+
+def test_frame_reader_reassembles_frames_split_anywhere():
+    frames = [
+        encode(Message.request("M", b"x" * n, request_id=n)) for n in (0, 1, 5, 300)
+    ]
+    stream = b"".join(frames)
+    rng = random.Random(7)
+    for _ in range(200):
+        cuts = sorted(rng.sample(range(1, len(stream)), rng.randint(1, 12)))
+        reader = _FrameReader()
+        out = []
+        for a, b in zip([0] + cuts, cuts + [len(stream)]):
+            out += reader.feed(stream[a:b])
+        assert out == frames
+
+
+def test_frame_reader_refuses_an_oversize_prefix_before_buffering():
+    reader = _FrameReader()
+    prefix = struct.pack(">I", MAX_FRAME_LEN + 1)
+    assert reader.feed(prefix[:2]) == []
+    with pytest.raises(OversizeFrameError):
+        reader.feed(prefix[2:])
+
+
+def test_a_peer_half_closing_mid_frame_fails_every_request_in_flight():
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def peer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            first, second = read_frames(conn, 2)
+            reply = encode(Message.response("M", b"partial", request_id=first.request_id))
+            conn.sendall(reply[:10])
+            conn.shutdown(socket.SHUT_WR)
+            conn.recv(1)  # the link closes its end
+        conn, _ = listener.accept()  # the next exchange reconnects
+        with conn:
+            conn.settimeout(10.0)
+            (request,) = read_frames(conn, 1)
+            conn.sendall(encode(Message.response("M", b"again", request_id=request.request_id)))
+            conn.recv(1)
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    failures = []
+    with listener, TcpLink(listener.getsockname()[:2]) as link:
+
+        def actor(payload):
+            try:
+                yield from link.exchange(Message.request("M", payload))
+            except TransportError as exc:
+                failures.append((payload, str(exc)))
+
+        run_actors([actor(b"a"), actor(b"b")])
+        assert sorted(p for p, _ in failures) == [b"a", b"b"]
+        assert all("peer closed" in text for _, text in failures)
+
+        answers = []
+
+        def again():
+            answers.append((yield from link.exchange(Message.request("M", b"x"))))
+
+        run_actors([again()])
+        assert answers[0].payload == b"again"
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 def test_generator_handlers_can_call_onward():
@@ -173,3 +326,37 @@ def test_generator_handlers_can_call_onward():
                 assert response.payload == b"pass-through"
                 assert response.metadata_value("via") == "proxy"
         backend_link.close()
+
+
+def test_a_shared_link_matches_every_response_under_load():
+    # Eight client threads through one proxy whose single backend link
+    # carries all their requests; the backend answers in shuffled order.
+    rng = random.Random(3)
+
+    def backend(request):
+        yield Sleep(rng.randrange(2) * MS)
+        return Message.response(request.method, request.payload)
+
+    with serve(backend) as back, TcpLink(back.address) as backend_link:
+
+        def proxy(request):
+            return (yield from backend_link.exchange(request))
+
+        with serve(proxy) as front:
+            mismatches = []
+
+            def client(i):
+                with TcpLink(front.address) as link:
+                    for n in range(50):
+                        payload = f"{i}-{n}".encode()
+                        response = link.send(Message.request("M", payload))
+                        if not response.ok or response.payload != payload:
+                            mismatches.append((payload, response))
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+    assert mismatches == []
