@@ -10,11 +10,14 @@ small and as cheap to build as a tuple (and compares equal to the plain
 tuple of its fields). The log is a plain in-memory list with no lock:
 both backends run every component that records on one thread (the
 virtual scheduler's, or the TCP backend's loop), and callers read the
-rows once the run has ended.
+rows once the run has ended. sort() puts the rows in timestamp order in
+place, once, for a caller that needs them ordered; render() then writes
+them as they stand instead of sorting a copy again.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -32,11 +35,17 @@ class EventRow(NamedTuple):
         )
 
 
+# EventRow.timestamp_ns, as a sort key.
+_timestamp = itemgetter(0)
+
+
 class EventLog:
     """In-memory event sink."""
 
     def __init__(self) -> None:
         self._rows: list[EventRow] = []
+        # Rows are in timestamp order while no row was recorded since sort().
+        self._sorted_len = 0
 
     def record(
         self,
@@ -51,9 +60,16 @@ class EventLog:
     def rows(self) -> list[EventRow]:
         return list(self._rows)
 
+    def sort(self) -> None:
+        """Put the rows in timestamp order (stable), in place."""
+        self._rows.sort(key=_timestamp)
+        self._sorted_len = len(self._rows)
+
     def render(self) -> str:
         """Whole log as CSV text, rows sorted by timestamp (stable)."""
-        rows = sorted(self.rows(), key=lambda r: r.timestamp_ns)
+        rows = self._rows
+        if self._sorted_len != len(rows):
+            rows = sorted(rows, key=_timestamp)
         return "".join(row.render() + "\n" for row in rows)
 
     def write_to(self, path) -> None:

@@ -367,9 +367,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             run_actors(actors)
-    # The windows' TTL sums run in timestamp order, which fixes their rounding.
-    rows = sorted(log.rows(), key=lambda r: r.timestamp_ns)
-    metrics = compute_windows(rows, start_ns, cfg.duration_s)
+    # The windows' TTL sums run in timestamp order, which fixes their
+    # rounding; events.csv is written in the same order.
+    log.sort()
+    metrics = compute_windows(log.rows(), start_ns, cfg.duration_s)
     result = ExperimentResult(
         config_id=parse_config_id(cfg.config_id)[0],
         phase_tag=cfg.phase_tag,
@@ -448,7 +449,8 @@ def run_scripted_trace(
         scripted_actor(ops, sim.clock, cache_link, server_link, ledger, log, sim.clock.now_ns())
     )
     sim.run()
-    return sorted(log.rows(), key=lambda r: r.timestamp_ns)
+    log.sort()
+    return log.rows()
 
 
 def aggregate_logs(text: str) -> RunMetrics:

@@ -7,19 +7,24 @@ again at now + duration. Everything is single-threaded; with a fixed spawn
 order and fixed RNG seeds, two runs produce identical event orders and
 therefore byte-identical logs.
 
-Resuming in place. While run() is processing events, a task whose wake-up
+Resuming in place. While run() is stepping a task, a Sleep whose wake-up
 t is within run()'s horizon and strictly earlier than every queued event
-is resumed at once, after the clock advances to t, instead of being pushed
-and popped straight back. That leaves the order unchanged: the pushed
-event would have been the next one popped. An event already queued at
-exactly t was pushed earlier, so it has the lower sequence number and must
-run first; the strict comparison keeps every such tie on the heap. spawn()
-always pushes, since it may run inside another task's step.
+does not go through the heap: the clock advances to t and the task carries
+on at once. That leaves the order unchanged: the pushed event would have
+been the next one popped. An event already queued at exactly t was pushed
+earlier, so it has the lower sequence number and must run first; the
+strict comparison keeps every such tie on the heap. spawn() never resumes
+in place, since it may run inside another task's step.
 
 A VirtualLink models one hop of the topology as a generator step run
-inside the caller's task: `yield from link.exchange(request)` sleeps the
+inside the caller's task: `yield from link.exchange(request)` waits the
 link latency, runs the target handler (which may exchange through further
-links), and sleeps the same latency on the way back.
+links), and waits the same latency on the way back. A hop leg that may
+resume in place advances the clock without yielding, so it does not
+suspend the caller's `yield from` chain; otherwise it yields its Sleep to
+the task, which pushes the wake-up. Either way the rule is the one
+Simulation.advance_in_place applies, so every order and output is the
+same. Driven outside run(), a link yields every leg.
 """
 
 from __future__ import annotations
@@ -47,20 +52,21 @@ class Task:
         in_place=False (spawn) always pushes the wake-up onto the heap.
         """
         sim = self._sim
-        clock = sim.clock
-        heap = sim._heap
-        while True:
-            try:
-                effect = self._gen.send(None)
-            except StopIteration:
-                return
-            if not isinstance(effect, Sleep):
-                raise TypeError(f"unknown effect {effect!r}")
-            t_ns = clock.now_ns() + max(0, effect.duration_ns)
-            if not (in_place and t_ns <= sim._until_ns and (not heap or heap[0][0] > t_ns)):
-                sim.call_at(t_ns, self._step)
-                return
-            clock.advance_to(t_ns)
+        outer = sim._in_place
+        sim._in_place = in_place
+        try:
+            while True:
+                try:
+                    effect = self._gen.send(None)
+                except StopIteration:
+                    return
+                if not isinstance(effect, Sleep):
+                    raise TypeError(f"unknown effect {effect!r}")
+                if not sim.advance_in_place(effect.duration_ns):
+                    sim.call_at(sim.clock.now_ns() + max(0, effect.duration_ns), self._step)
+                    return
+        finally:
+            sim._in_place = outer
 
 
 class VirtualLink:
@@ -71,14 +77,18 @@ class VirtualLink:
     uncaught exception becomes a status-ERROR response.
     """
 
-    def __init__(self, handler: Handler, latency_ns: int = 0) -> None:
+    def __init__(self, sim: "Simulation", handler: Handler, latency_ns: int = 0) -> None:
+        self._sim = sim
         self._handler = handler
+        self._latency_ns = latency_ns
         self._latency = Sleep(latency_ns)
 
     def exchange(self, request: Message) -> Generator:
-        yield self._latency
+        if not self._sim.advance_in_place(self._latency_ns):
+            yield self._latency
         response = yield from invoke_handler(self._handler, request)
-        yield self._latency
+        if not self._sim.advance_in_place(self._latency_ns):
+            yield self._latency
         return response
 
 
@@ -92,6 +102,26 @@ class Simulation:
         # The horizon of the run() in progress; tasks resume in place only
         # up to it, so a run sliced by until_ns processes the same events.
         self._until_ns: float = math.inf
+        # True while run() steps a task that may resume in place; spawn()
+        # clears it for the steps it runs, even inside another task's step.
+        self._in_place = False
+
+    def advance_in_place(self, duration_ns: int) -> bool:
+        """Advance the clock past a Sleep of duration_ns if it may resume in place.
+
+        Returns False, leaving the clock alone, when the wake-up must go
+        through the heap: outside a task stepped by run(), past run()'s
+        horizon, or not strictly before every queued event.
+        """
+        if not self._in_place:
+            return False
+        t_ns = self.clock.now_ns()
+        if duration_ns > 0:
+            t_ns += duration_ns
+        if t_ns > self._until_ns or (self._heap and self._heap[0][0] <= t_ns):
+            return False
+        self.clock.advance_to(t_ns)
+        return True
 
     def call_at(self, t_ns: int, fn: Callable[[], None]) -> None:
         if t_ns < self.clock.now_ns():
@@ -123,4 +153,4 @@ class Simulation:
             self.clock.advance_to(until_ns)
 
     def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> VirtualLink:
-        return VirtualLink(handler, seconds_to_ns(latency_s))
+        return VirtualLink(self, handler, seconds_to_ns(latency_s))

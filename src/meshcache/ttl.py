@@ -85,11 +85,13 @@ def required_history_depth(config: AlgorithmConfig) -> int:
 class ObservationHistory:
     """Per-key record of the digests seen and when they changed.
 
-    change_timestamps holds the instants (ns, strictly increasing) at
-    which the response digest differed from the previous one, oldest
-    first, at most history_depth entries. The first observation of a key
-    counts as a change, which is what lets the estimators ever leave zero
-    for objects that are never updated.
+    change_timestamps holds the instants (ns, non-decreasing) at which
+    the response digest differed from the previous one, oldest first, at
+    most history_depth entries. Two changes may share an instant: two
+    responses with different digests can be observed in the same
+    nanosecond, and observe() only refuses time that goes backwards. The
+    first observation of a key counts as a change, which is what lets the
+    estimators ever leave zero for objects that are never updated.
     """
 
     history_depth: int
@@ -103,9 +105,9 @@ class ObservationHistory:
         if len(self.change_timestamps) > self.history_depth:
             raise ValueError("more change timestamps than history_depth allows")
         if any(
-            b <= a for a, b in zip(self.change_timestamps, self.change_timestamps[1:])
+            b < a for a, b in zip(self.change_timestamps, self.change_timestamps[1:])
         ):
-            raise ValueError("change_timestamps must be strictly increasing")
+            raise ValueError("change_timestamps must be non-decreasing")
         if self.change_timestamps and self.last_digest is None:
             raise ValueError("recorded changes require a last_digest")
 

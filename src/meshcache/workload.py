@@ -17,7 +17,13 @@ harness's scripted traces replay the same steps at fixed instants.
 Request pacing for both actors is a Poisson arrival process riding a
 sinusoid: each inter-request gap is an exponential draw at the
 instantaneous rate (mean 1000 / rate_at(t) ms), rounded to a whole
-number of milliseconds and clamped to >= 1.
+number of milliseconds and clamped to >= 1. Each actor takes its draws
+from its RNG in blocks (ExponentialGaps), the same stream as one draw per
+gap.
+
+Nothing that is the same for every request is built per request: the
+GetValue request, the server's SetValue ack and its GetValue response
+(rebuilt once per SetValue) are shared; Message is immutable.
 
 The ledger is the staleness oracle. expected_value is published only
 after the server acknowledges a SetValue, so the ledger never runs ahead
@@ -54,6 +60,13 @@ PHASE_SHIFTS: dict[str, float] = {
 }
 
 DEFAULT_PERIOD_S = 1800.0
+
+# Standard exponential draws an actor takes from its RNG per numpy call.
+# Small, so a run's draws ahead of need stay a few kilobytes.
+GAP_BLOCK = 256
+
+GET_REQUEST = Message.request(GET_METHOD)
+SET_ACK = Message.response(SET_METHOD)
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,27 @@ def rate_at(cfg: SinusoidConfig, t_s: float) -> float:
     )
 
 
-def next_delay_ms(cfg: SinusoidConfig, t_s: float, rng: np.random.Generator) -> int:
+class ExponentialGaps:
+    """One RNG's exponential draws, taken GAP_BLOCK at a time.
+
+    exponential(scale) is bitwise rng.exponential(scale): numpy scales one
+    standard exponential draw by scale, and a block of standard draws is
+    the same stream as single draws.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._draws: list[float] = []
+
+    def exponential(self, scale: float) -> float:
+        if not self._draws:
+            self._draws = self._rng.standard_exponential(GAP_BLOCK).tolist()[::-1]
+        return scale * self._draws.pop()
+
+
+def next_delay_ms(
+    cfg: SinusoidConfig, t_s: float, rng: np.random.Generator | ExponentialGaps
+) -> int:
     """Poisson-process inter-request delay in whole milliseconds, at least 1."""
     mean_ms = 1000.0 / rate_at(cfg, t_s)
     return max(1, int(round(rng.exponential(mean_ms))))
@@ -129,19 +162,19 @@ class ValueServer:
     """The upstream service: one value, GetValue/SetValue."""
 
     def __init__(self, initial_value: bytes = b"0") -> None:
-        self._value = initial_value
+        self._get_response = Message.response(GET_METHOD, initial_value)
         self.set_count = 0
 
     def current_value(self) -> bytes:
-        return self._value
+        return self._get_response.payload
 
     def handle(self, request: Message) -> Message:
         if request.method == GET_METHOD:
-            return Message.response(GET_METHOD, self._value)
+            return self._get_response
         if request.method == SET_METHOD:
-            self._value = request.payload
+            self._get_response = Message.response(GET_METHOD, request.payload)
             self.set_count += 1
-            return Message.response(SET_METHOD)
+            return SET_ACK
         return Message.error_response(request.method, f"unknown method {request.method}")
 
 
@@ -178,7 +211,7 @@ def query_once(clock: Clock, cache_link: Link, ledger: StalenessLedger, log: Eve
     """One GetValue through the cache, classified against the ledger and logged."""
     expected = ledger.expected_value
     try:
-        response = yield from cache_link.exchange(Message.request(GET_METHOD))
+        response = yield from cache_link.exchange(GET_REQUEST)
     except TransportError:
         response = None
     outcome = classify_response(response, expected, ledger)
@@ -220,10 +253,11 @@ def query_actor(
     log: EventLog,
 ) -> Generator:
     """Issue GetValue at the sinusoid's pace until end_ns."""
+    gaps = ExponentialGaps(rng)
     while clock.now_ns() < end_ns:
         yield from query_once(clock, cache_link, ledger, log)
         t_s = (clock.now_ns() - start_ns) / 1e9
-        yield Sleep(next_delay_ms(sinusoid, t_s, rng) * NS_PER_MS)
+        yield Sleep(next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS)
 
 
 def update_actor(
@@ -237,9 +271,10 @@ def update_actor(
     log: EventLog,
 ) -> Generator:
     """Write fresh unique values at the sinusoid's pace until end_ns."""
+    gaps = ExponentialGaps(rng)
     counter = 0
     while clock.now_ns() < end_ns:
         counter += 1
         yield from update_once(clock, server_link, ledger, str(counter).encode("ascii"), log)
         t_s = (clock.now_ns() - start_ns) / 1e9
-        yield Sleep(next_delay_ms(sinusoid, t_s, rng) * NS_PER_MS)
+        yield Sleep(next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS)

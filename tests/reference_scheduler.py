@@ -1,7 +1,8 @@
 """The plain heap loop that meshcache.sim's scheduler must agree with.
 
 Every Sleep pushes the task's wake-up onto the heap, and events are popped
-in (time, sequence) order; nothing is resumed in place. Tests swap
+in (time, sequence) order; nothing is resumed in place. Its links yield
+both hop legs as Sleeps, so every leg goes through the heap too. Tests swap
 ReferenceSimulation in for meshcache.sim.Simulation (or harness.Simulation)
 and require identical traces and outputs.
 """
@@ -13,8 +14,20 @@ import itertools
 from typing import Callable, Generator
 
 from meshcache.clock import VirtualClock, seconds_to_ns
-from meshcache.effects import Handler, Sleep
-from meshcache.sim import VirtualLink
+from meshcache.effects import Handler, Sleep, invoke_handler
+from meshcache.wire import Message
+
+
+class ReferenceLink:
+    def __init__(self, handler: Handler, latency_ns: int = 0) -> None:
+        self._handler = handler
+        self._latency = Sleep(latency_ns)
+
+    def exchange(self, request: Message) -> Generator:
+        yield self._latency
+        response = yield from invoke_handler(self._handler, request)
+        yield self._latency
+        return response
 
 
 class ReferenceTask:
@@ -59,5 +72,5 @@ class ReferenceSimulation:
         if until_ns is not None and until_ns > self.clock.now_ns():
             self.clock.advance_to(until_ns)
 
-    def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> VirtualLink:
-        return VirtualLink(handler, seconds_to_ns(latency_s))
+    def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> ReferenceLink:
+        return ReferenceLink(handler, seconds_to_ns(latency_s))

@@ -26,6 +26,25 @@ def test_render_sorts_by_timestamp_keeping_insertion_order_for_ties():
     ]
 
 
+def test_sort_orders_the_rows_in_place_and_render_keeps_sorting_later_rows():
+    log = EventLog()
+    log.record(20, "cache", "GetValue", "miss")
+    log.record(10, "client", "GetValue", "ok")
+    log.record(20, "estimator", "GetValue", "estimate", "3")
+    log.sort()
+    assert [(r.timestamp_ns, r.component) for r in log.rows()] == [
+        (10, "client"), (20, "cache"), (20, "estimator")
+    ]
+    assert log.render().splitlines()[0] == "10,client,GetValue,ok,"
+    log.record(5, "client", "SetValue", "ok")
+    assert log.render().splitlines() == [
+        "5,client,SetValue,ok,",
+        "10,client,GetValue,ok,",
+        "20,cache,GetValue,miss,",
+        "20,estimator,GetValue,estimate,3",
+    ]
+
+
 def test_parse_roundtrips_render():
     log = EventLog()
     log.record(1, "cache", "GetValue", "miss")

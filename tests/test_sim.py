@@ -280,6 +280,107 @@ def test_spawn_never_resumes_in_place():
     ]
 
 
+@pytest.mark.parametrize("latency_ns", [0, 3])
+def test_a_hop_leg_tied_with_a_queued_event_resumes_behind_it(latency_ns):
+    # Each leg of the first exchange wakes exactly when an event already
+    # queued is due: one queued before the run, one by the server, and a
+    # second task's wake-up. The leg must run after them, as a pushed Sleep
+    # would. The second exchange meets an empty heap and resumes in place.
+    def trace(sim_class):
+        sim = sim_class()
+        order = []
+
+        def server(request):
+            if not any(step[0] == "server" for step in order):
+                sim.call_at(
+                    sim.clock.now_ns() + latency_ns, lambda: order.append(("queued by server",))
+                )
+            order.append(("server", sim.clock.now_ns()))
+            return Message.response(request.method)
+
+        link = sim.virtual_link(server, latency_ns / NS_PER_S)
+
+        def client():
+            yield Sleep(10)
+            order.append(("sent", sim.clock.now_ns()))
+            for _ in range(2):
+                yield from link.exchange(Message.request("M"))
+                order.append(("answered", sim.clock.now_ns()))
+
+        def other():
+            yield Sleep(10 + 2 * latency_ns)
+            order.append(("other", sim.clock.now_ns()))
+
+        sim.spawn(client())
+        sim.spawn(other())
+        sim.call_at(10 + latency_ns, lambda: order.append(("queued at delivery",)))
+        sim.run()
+        return order
+
+    expected = trace(ReferenceSimulation)
+    assert trace(Simulation) == expected
+    first, second = 10 + latency_ns, 10 + 2 * latency_ns
+    if latency_ns == 0:
+        assert expected[:6] == [
+            ("sent", 10), ("other", 10), ("queued at delivery",),
+            ("server", 10), ("queued by server",), ("answered", 10),
+        ]
+    else:
+        assert expected[:6] == [
+            ("sent", 10), ("queued at delivery",), ("server", first),
+            ("other", second), ("queued by server",), ("answered", second),
+        ]
+    assert expected[6:] == [("server", second + latency_ns), ("answered", second + 2 * latency_ns)]
+
+
+def test_a_link_in_a_spawned_task_never_resumes_in_place():
+    # spawn() inside another task's step must not let the child's hop legs
+    # resume in place, and the parent carries on in place afterwards.
+    def trace(sim_class):
+        sim = sim_class()
+        order = []
+
+        def server(request):
+            order.append(("server", sim.clock.now_ns()))
+            return Message.response(request.method)
+
+        link = sim.virtual_link(server)
+
+        def child():
+            yield from link.exchange(Message.request("M"))
+            order.append(("child answered", sim.clock.now_ns()))
+
+        def parent():
+            yield Sleep(1)
+            sim.spawn(child())
+            order.append(("parent", sim.clock.now_ns()))
+            yield Sleep(1)
+            yield from link.exchange(Message.request("M"))
+            order.append(("parent answered", sim.clock.now_ns()))
+
+        sim.spawn(parent())
+        sim.run()
+        return order
+
+    expected = [
+        ("parent", 1), ("server", 1), ("child answered", 1), ("server", 2), ("parent answered", 2)
+    ]
+    assert trace(ReferenceSimulation) == expected
+    assert trace(Simulation) == expected
+
+
+def test_a_virtual_link_driven_outside_run_yields_both_legs():
+    sim = Simulation()
+    link = sim.virtual_link(lambda r: Message.response(r.method, b"x"), latency_s=0.5)
+    gen = link.exchange(Message.request("M"))
+    assert next(gen) == Sleep(seconds_to_ns(0.5))
+    assert gen.send(None) == Sleep(seconds_to_ns(0.5))
+    with pytest.raises(StopIteration) as stop:
+        gen.send(None)
+    assert stop.value.value.payload == b"x"
+    assert sim.clock.now_ns() == 0
+
+
 def test_random_tasks_match_the_reference_scheduler():
     # Many tasks with tied and zero sleeps, plain callbacks at fixed
     # instants, a horizon and sliced runs: the resumed-in-place trace is

@@ -100,6 +100,15 @@ def test_observe_rejects_time_before_last_change():
         observe(h, 999, b"b")
 
 
+def test_two_changes_at_the_same_instant_are_both_recorded():
+    # Two different digests in one nanosecond: a second change at that
+    # instant, so update-risk's k-th change is now and the estimate is 0.
+    h = observe(observe(empty_history(2), 1000, b"a"), 1000, b"b")
+    assert h.change_timestamps == (1000, 1000) and h.last_digest == b"b"
+    assert estimate_update_risk(UpdateRiskTtl(0.5), h, 1000) == 0
+    assert ObservationHistory(2, b"b", (1000, 1000)).change_timestamps == (1000, 1000)
+
+
 def test_history_is_immutable_and_validated():
     h = observe(empty_history(2), 1000, b"a")
     with pytest.raises(Exception):

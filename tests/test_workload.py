@@ -12,9 +12,11 @@ from meshcache.harness import compute_windows
 from meshcache.sim import Simulation
 from meshcache.wire import Message
 from meshcache.workload import (
+    GAP_BLOCK,
     PHASE_SHIFTS,
     QUERY_SINUSOID,
     UPDATE_SINUSOID,
+    ExponentialGaps,
     SinusoidConfig,
     StalenessLedger,
     ValueServer,
@@ -115,6 +117,20 @@ def test_delay_is_deterministic_given_the_rng_state():
     assert a == b
 
 
+def test_block_draws_are_the_single_draw_stream():
+    # Across block boundaries and at every rate, a gap drawn from a block
+    # is bitwise the gap one rng.exponential call per request would give.
+    cfg = SinusoidConfig(mean_rate=5.5, amplitude=4.5, period_s=60.0)
+    gaps, rng = ExponentialGaps(np.random.default_rng(8)), np.random.default_rng(8)
+    times = [i * 0.037 for i in range(3 * GAP_BLOCK + 7)]
+    assert [next_delay_ms(cfg, t, gaps) for t in times] == [
+        next_delay_ms(cfg, t, rng) for t in times
+    ]
+    scales = [1000.0 / rate_at(cfg, t) for t in times]
+    gaps, rng = ExponentialGaps(np.random.default_rng(8)), np.random.default_rng(8)
+    assert [gaps.exponential(s) for s in scales] == [rng.exponential(s) for s in scales]
+
+
 # --- value service ---
 
 
@@ -125,6 +141,17 @@ def test_value_server_get_set_cycle():
     assert server.handle(Message.request("GetValue")).payload == b"7"
     assert server.set_count == 1
     assert server.current_value() == b"7"
+
+
+def test_value_server_builds_a_response_once_per_value():
+    server = ValueServer()
+    first = server.handle(Message.request("GetValue"))
+    assert server.handle(Message.request("GetValue")) is first
+    ack = server.handle(Message.request("SetValue", b"7"))
+    assert ack.ok and ack.payload == b"" and ack.method == "SetValue"
+    assert server.handle(Message.request("SetValue", b"8")) is ack
+    assert server.handle(Message.request("GetValue")).payload == b"8"
+    assert first.payload == b"0"
 
 
 def test_value_server_rejects_unknown_methods():
