@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clock import Clock, seconds_to_ns
 from .digests import cache_key
@@ -23,8 +24,7 @@ from .eventlog import EventLog
 from .wire import Message
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     key: bytes
     response: Message
     expires_at_ns: int

@@ -21,8 +21,7 @@ so one bad request never takes down a connection or a simulation.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Protocol, Union
+from typing import Any, Callable, Generator, NamedTuple, Protocol, Union
 
 from .clock import Clock
 from .wire import Message
@@ -40,13 +39,11 @@ class TransportError(Exception):
     """Request could not complete: connection refused, timeout, bad peer."""
 
 
-@dataclass(frozen=True)
-class Sleep:
+class Sleep(NamedTuple):
     duration_ns: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     """One round trip over a link: drive() performs it as link.send(message),
     the TCP backend's loop without blocking."""
 

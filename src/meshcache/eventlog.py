@@ -38,6 +38,10 @@ class EventRow(NamedTuple):
 # EventRow.timestamp_ns, as a sort key.
 _timestamp = itemgetter(0)
 
+# Builds an EventRow from the tuple of its fields, skipping the field
+# constructor's argument handling.
+_new = tuple.__new__
+
 
 class EventLog:
     """In-memory event sink."""
@@ -55,7 +59,7 @@ class EventLog:
         event: str,
         value: str = "",
     ) -> None:
-        self._rows.append(EventRow(timestamp_ns, component, method, event, value))
+        self._rows.append(_new(EventRow, (timestamp_ns, component, method, event, value)))
 
     def rows(self) -> list[EventRow]:
         return list(self._rows)

@@ -229,6 +229,7 @@ def compute_windows(
 
     Each window holds its error fraction, hit fraction and mean issued
     TTL; rows outside [0, duration) count in the first or last window.
+    Rows are unpacked by position, in the EventRow field order.
     """
     count = max(1, math.ceil(duration_s / window_s))
     window_ns = seconds_to_ns(window_s)
@@ -239,25 +240,30 @@ def compute_windows(
     ttl_sum = [0.0] * count
     ttl_n = [0] * count
     errored = updates = 0
-    for row in rows:
-        idx = (row.timestamp_ns - start_ns) // window_ns
-        idx = min(max(idx, 0), count - 1)
-        if row.component == "cache":
-            if row.event == "hit":
+    last = count - 1
+    for ts, component, method, event, value in rows:
+        idx = (ts - start_ns) // window_ns
+        if idx < 0:
+            idx = 0
+        elif idx > last:
+            idx = last
+        if component == "cache":
+            if event == "hit":
                 hits[idx] += 1
-            elif row.event == "miss":
+            elif event == "miss":
                 misses[idx] += 1
-        elif row.component == "client" and row.method == GET_METHOD:
-            if row.event == "ok":
-                ok[idx] += 1
-            elif row.event == "stale":
-                stale[idx] += 1
-            elif row.event == "error":
-                errored += 1
-        elif row.component == "client" and row.method == SET_METHOD and row.event == "ok":
-            updates += 1
-        elif row.component == "estimator" and row.event == "estimate":
-            ttl_sum[idx] += float(row.value)
+        elif component == "client":
+            if method == GET_METHOD:
+                if event == "ok":
+                    ok[idx] += 1
+                elif event == "stale":
+                    stale[idx] += 1
+                elif event == "error":
+                    errored += 1
+            elif method == SET_METHOD and event == "ok":
+                updates += 1
+        elif component == "estimator" and event == "estimate":
+            ttl_sum[idx] += float(value)
             ttl_n[idx] += 1
     windows = []
     for i in range(count):

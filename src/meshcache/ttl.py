@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from operator import le
+from typing import NamedTuple, Union
 
 from .clock import ns_to_seconds
 
@@ -81,8 +82,14 @@ def required_history_depth(config: AlgorithmConfig) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class ObservationHistory:
+class _HistoryFields(NamedTuple):
+    history_depth: int
+    last_digest: bytes | None = None
+    change_timestamps: tuple[int, ...] = ()
+    last_touched: int | None = None
+
+
+class ObservationHistory(_HistoryFields):
     """Per-key record of the digests seen and when they changed.
 
     change_timestamps holds the instants (ns, non-decreasing) at which
@@ -92,28 +99,34 @@ class ObservationHistory:
     nanosecond, and observe() only refuses time that goes backwards. The
     first observation of a key counts as a change, which is what lets the
     estimators ever leave zero for objects that are never updated.
+
+    A named tuple (immutable, equal to the plain tuple of its fields)
+    whose constructor validates. _make, _replace and tuple.__new__ would
+    skip the checks, so nothing builds one that way.
     """
 
-    history_depth: int
-    last_digest: bytes | None = None
-    change_timestamps: tuple[int, ...] = ()
-    last_touched: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.history_depth < 1:
+    def __new__(
+        cls,
+        history_depth: int,
+        last_digest: bytes | None = None,
+        change_timestamps: tuple[int, ...] = (),
+        last_touched: int | None = None,
+    ) -> "ObservationHistory":
+        if history_depth < 1:
             raise ValueError("history_depth must be >= 1")
-        if len(self.change_timestamps) > self.history_depth:
+        if len(change_timestamps) > history_depth:
             raise ValueError("more change timestamps than history_depth allows")
-        if any(
-            b < a for a, b in zip(self.change_timestamps, self.change_timestamps[1:])
-        ):
+        if not all(map(le, change_timestamps, change_timestamps[1:])):
             raise ValueError("change_timestamps must be non-decreasing")
-        if self.change_timestamps and self.last_digest is None:
+        if change_timestamps and last_digest is None:
             raise ValueError("recorded changes require a last_digest")
+        return tuple.__new__(cls, (history_depth, last_digest, change_timestamps, last_touched))
 
 
 def empty_history(history_depth: int) -> ObservationHistory:
-    return ObservationHistory(history_depth=history_depth)
+    return ObservationHistory(history_depth)
 
 
 def observe(history: ObservationHistory, now_ns: int, digest: bytes) -> ObservationHistory:
@@ -123,24 +136,17 @@ def observe(history: ObservationHistory, now_ns: int, digest: bytes) -> Observat
     a change at now_ns (evicting the oldest entry beyond history_depth).
     An identical digest only refreshes last_touched.
     """
-    if history.change_timestamps and now_ns < history.change_timestamps[-1]:
+    depth, last_digest, stamps, _ = history
+    if stamps and now_ns < stamps[-1]:
         raise ValueError(
-            f"non-monotonic observation: {now_ns} precedes last change "
-            f"{history.change_timestamps[-1]}"
+            f"non-monotonic observation: {now_ns} precedes last change {stamps[-1]}"
         )
-    if history.last_digest is not None and digest == history.last_digest:
-        return ObservationHistory(
-            history.history_depth, history.last_digest, history.change_timestamps, now_ns
-        )
-    stamps = history.change_timestamps + (now_ns,)
-    if len(stamps) > history.history_depth:
-        stamps = stamps[-history.history_depth :]
-    return ObservationHistory(
-        history_depth=history.history_depth,
-        last_digest=digest,
-        change_timestamps=stamps,
-        last_touched=now_ns,
-    )
+    if last_digest is not None and digest == last_digest:
+        return ObservationHistory(depth, last_digest, stamps, now_ns)
+    stamps = stamps + (now_ns,)
+    if len(stamps) > depth:
+        stamps = stamps[-depth:]
+    return ObservationHistory(depth, digest, stamps, now_ns)
 
 
 def _clamp(value: float, max_ttl_cap: int | None) -> int:

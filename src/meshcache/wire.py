@@ -19,7 +19,7 @@ accepted byte string re-encodes to itself.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MAX_FRAME_LEN = 16 * 1024 * 1024
 
@@ -62,19 +62,23 @@ class TrailingBytesError(DecodeError):
     pass
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One unary request or response.
 
     metadata is an ordered tuple of (key, value) pairs; keys are lowercase
     ASCII. request_id is owned by the transport layer: links assign it on
     send and servers echo it, so application code can leave it at 0.
+
+    A named tuple: immutable, as cheap to build as a tuple, and equal to
+    the plain tuple of its fields. The builders below and decode() build
+    it with tuple.__new__, skipping the field constructor's argument
+    handling.
     """
 
     kind: str
     method: str
     payload: bytes = b""
-    metadata: tuple[tuple[str, str], ...] = field(default=())
+    metadata: tuple[tuple[str, str], ...] = ()
     status: str | None = None
     request_id: int = 0
 
@@ -85,7 +89,7 @@ class Message:
         metadata: tuple[tuple[str, str], ...] = (),
         request_id: int = 0,
     ) -> "Message":
-        return Message(KIND_REQUEST, method, payload, tuple(metadata), None, request_id)
+        return _new(Message, (KIND_REQUEST, method, payload, tuple(metadata), None, request_id))
 
     @staticmethod
     def response(
@@ -95,7 +99,7 @@ class Message:
         status: str = STATUS_OK,
         request_id: int = 0,
     ) -> "Message":
-        return Message(KIND_RESPONSE, method, payload, tuple(metadata), status, request_id)
+        return _new(Message, (KIND_RESPONSE, method, payload, tuple(metadata), status, request_id))
 
     @staticmethod
     def error_response(method: str, detail: str, request_id: int = 0) -> "Message":
@@ -120,15 +124,21 @@ class Message:
 
     def with_request_id(self, request_id: int) -> "Message":
         """Copy carrying request_id, as links tag requests and servers echo them."""
-        return Message(self.kind, self.method, self.payload, self.metadata, self.status, request_id)
+        kind, method, payload, metadata, status, _ = self
+        return _new(Message, (kind, method, payload, metadata, status, request_id))
 
     def with_metadata(self, key: str, value: str) -> "Message":
         """Copy with any existing pairs for key dropped and (key, value) appended."""
-        kept = tuple(p for p in self.metadata if p[0] != key)
-        return Message(
-            self.kind, self.method, self.payload, kept + ((key, value),), self.status,
-            self.request_id,
+        kind, method, payload, metadata, status, request_id = self
+        if metadata:
+            metadata = tuple(p for p in metadata if p[0] != key)
+        return _new(
+            Message, (kind, method, payload, metadata + ((key, value),), status, request_id)
         )
+
+
+# Builds a Message from the tuple of its fields.
+_new = tuple.__new__
 
 
 def _method_ok(method: str) -> bool:
@@ -281,4 +291,6 @@ def decode(data: bytes) -> Message:
         raise _short()
     if stop != end:
         raise DecodeError("declared frame length does not match field contents")
-    return Message(kind, method, bytes(data[pos + 4 : stop]), tuple(metadata), status, request_id)
+    return _new(
+        Message, (kind, method, bytes(data[pos + 4 : stop]), tuple(metadata), status, request_id)
+    )

@@ -39,13 +39,15 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .clock import NS_PER_MS, Clock
 from .effects import Link, Sleep, TransportError
 from .eventlog import EventLog
 from .wire import Message
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GET_METHOD = "GetValue"
 SET_METHOD = "SetValue"
@@ -119,7 +121,13 @@ class WorkloadConfig:
         return replace(self.update, phase=self.update.phase + self.phase_shift)
 
     def actor_rngs(self) -> tuple[np.random.Generator, np.random.Generator]:
-        """Independent (query, update) RNG streams from the run seed."""
+        """Independent (query, update) RNG streams from the run seed.
+
+        numpy is imported here, not with the module, so a process that
+        only serves (a live sidecar) starts without it.
+        """
+        import numpy as np
+
         query_ss, update_ss = np.random.SeedSequence(self.seed).spawn(2)
         return np.random.Generator(np.random.PCG64(query_ss)), np.random.Generator(
             np.random.PCG64(update_ss)

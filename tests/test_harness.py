@@ -36,6 +36,7 @@ from meshcache.harness import (
 from meshcache.sim import Simulation, VirtualLink
 from meshcache.ttl import UpdateRiskTtl
 
+import reference_fold
 from reference_scheduler import ReferenceSimulation
 from trace_oracle import replay_trace
 
@@ -71,6 +72,74 @@ def test_window_count_covers_the_duration():
     assert len(compute_windows([], 0, 300.0).windows) == 20
     assert len(compute_windows([], 0, 1800.0).windows) == 120
     assert len(compute_windows([], 0, 10.0).windows) == 1  # partial window still counts
+
+
+# Every component, method and event the fold tells apart, plus ones it
+# must ignore: an unknown component, method or event counts nowhere.
+FOLD_EVENTS = {
+    "cache": ("hit", "miss", "expire"),
+    "client": ("ok", "stale", "error", "lost"),
+    "estimator": ("estimate", "skip"),
+    "server": ("ok", "estimate"),
+    "proxy": ("hit", "ok"),
+}
+FOLD_METHODS = ("GetValue", "SetValue", "ListValues")
+
+
+def random_fold_rows(rng, start_ns, duration_s, n):
+    """n rows in random order, timestamps spilling past both ends of the run."""
+    rows = []
+    for _ in range(n):
+        component = rng.choice(sorted(FOLD_EVENTS))
+        event = rng.choice(FOLD_EVENTS[component])
+        offset_ns = rng.randint(-20 * NS, int((duration_s + 20) * NS))
+        value = ""
+        if event == "estimate":
+            value = rng.choice([str(rng.randint(0, 30)), repr(rng.uniform(0, 30))])
+        method = rng.choice(FOLD_METHODS)
+        rows.append(EventRow(start_ns + offset_ns, component, method, event, value))
+    return rows
+
+
+def test_positional_fold_matches_the_reference_fold_on_random_rows():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        start_ns = rng.choice([0, 7 * NS, 123_456_789])
+        duration_s = rng.choice([10.0, 30.0, 44.5, 90.0, 300.0])
+        window_s = rng.choice([15.0, 7.5, 1.0])
+        rows = random_fold_rows(rng, start_ns, duration_s, rng.randint(0, 400))
+        got = compute_windows(rows, start_ns, duration_s, window_s)
+        assert got == reference_fold.compute_windows(rows, start_ns, duration_s, window_s)
+        for ts, component, method, event, _ in rows:
+            if ts < start_ns:
+                seen.add("before start")
+            if ts >= start_ns + duration_s * NS:
+                seen.add("past end")
+            if event == "error" and method in ("GetValue", "SetValue"):
+                seen.add(f"{method} error")
+            if component not in ("cache", "client", "estimator"):
+                seen.add("unknown component")
+            if event not in ("hit", "miss", "ok", "stale", "error", "estimate"):
+                seen.add("unknown event")
+            if event == "estimate":
+                seen.add("estimate")
+    assert seen == {
+        "before start",
+        "past end",
+        "GetValue error",
+        "SetValue error",
+        "unknown component",
+        "unknown event",
+        "estimate",
+    }
+
+
+def test_positional_fold_matches_the_reference_fold_on_a_run(tmp_path):
+    cfg = ExperimentConfig("updaterisk-0.5", "pi2", seed=1, duration_s=300.0)
+    run_experiment(cfg, tmp_path)
+    rows = parse_event_log((tmp_path / "events.csv").read_text(encoding="ascii"))
+    assert compute_windows(rows, 0, 300.0) == reference_fold.compute_windows(rows, 0, 300.0)
 
 
 # --- experiment config ---

@@ -112,7 +112,7 @@ def test_two_changes_at_the_same_instant_are_both_recorded():
 def test_history_is_immutable_and_validated():
     h = observe(empty_history(2), 1000, b"a")
     with pytest.raises(Exception):
-        h.last_digest = b"x"  # frozen dataclass
+        h.last_digest = b"x"  # a named tuple: fields cannot be assigned
     with pytest.raises(ValueError):
         ObservationHistory(history_depth=0)
     with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Sinusoidal workload: rates, pacing, the value service, the staleness oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +328,24 @@ def test_update_actor_gives_up_after_one_retry():
     sim.run(until_ns=NS_PER_S)
     assert all(r.event == "error" for r in log.rows())
     assert ledger.expected_value == b"0"  # nothing published
+
+
+def test_the_package_and_the_sidecar_names_import_without_numpy():
+    # Only the workload's RNGs need numpy, so a live sidecar starts without it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import meshcache\n"
+        "from meshcache import Cache, Estimator, SystemClock, TcpLink, ValueServer, parse_config_id, serve\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
