@@ -7,6 +7,11 @@ now + N seconds. Expiry is exclusive at the boundary: a lookup exactly N
 seconds after insertion is a miss. max-age=0, a missing header, or a
 malformed value all mean "do not store".
 
+The store is keyed on the request itself, the (method, payload) tuple:
+exact, so two requests share an entry only if both fields are equal, and
+it holds a reference to the request's payload. Python caches the hash of
+a bytes object, so a repeated request hashes its payload once.
+
 Freshness is decided lazily at lookup; expire_scan() exists only to
 bound memory and never affects correctness.
 """
@@ -18,14 +23,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .clock import Clock, seconds_to_ns
-from .digests import cache_key
 from .effects import Link
 from .eventlog import EventLog
 from .wire import Message
 
 
 class CacheEntry(NamedTuple):
-    key: bytes
+    key: tuple[str, bytes]  # (method, payload) of the request
     response: Message
     expires_at_ns: int
 
@@ -69,7 +73,7 @@ class Cache:
         self._upstream = upstream
         self._clock = clock
         self._log = log
-        self._store: dict[bytes, CacheEntry] = {}
+        self._store: dict[tuple[str, bytes], CacheEntry] = {}
         self._hits = 0
         self._misses = 0
         self._insertions = 0
@@ -83,7 +87,7 @@ class Cache:
 
     def handle(self, request: Message) -> Generator:
         """Handler generator: serve fresh entries, otherwise fill from upstream."""
-        key = cache_key(request.method, request.payload)
+        key = (request.method, request.payload)
         now_ns = self._clock.now_ns()
         entry = self._store.get(key)
         if entry is not None and now_ns < entry.expires_at_ns:

@@ -56,7 +56,9 @@ class VirtualClock:
 
     Tasks running under the scheduler must express waits as Sleep effects
     rather than calling sleep_until, which would otherwise stall the
-    single-threaded event loop forever.
+    single-threaded event loop forever. The scheduler owns the time:
+    besides advance_to(), Simulation.advance_in_place() moves _now_ns
+    forward as a field.
     """
 
     def __init__(self, start_ns: int = 0) -> None:

@@ -1,4 +1,11 @@
-"""Short stable digests for change detection and cache keying."""
+"""Short stable digests of response bodies, for change detection.
+
+The estimator digests each response body to tell a changed response from
+an unchanged one. Requests are not digested: the cache and the estimator
+key on the request's (method, payload) tuple itself. No module of the
+package calls cache_key(); bench/tracer.py still looks it up by name to
+wrap it, so it stays until the tracer no longer does.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ def response_digest(payload: bytes) -> bytes:
 
 
 def cache_key(method: str, payload: bytes) -> bytes:
-    """Key identifying a request: method plus its full payload."""
+    """Digest of a request's method plus its full payload; unused in the package."""
     h = hashlib.blake2b(digest_size=DIGEST_SIZE)
     h.update(method.encode("ascii"))
     h.update(b"\x00")

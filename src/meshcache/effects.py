@@ -15,7 +15,9 @@ performs it with the link's send() and turns Sleep into a real sleep.
 Handlers may also be plain
 functions that return a response directly; invoke_handler() normalizes
 both shapes and converts uncaught handler exceptions into ERROR responses
-so one bad request never takes down a connection or a simulation.
+so one bad request never takes down a connection or a simulation. The
+virtual hop runs the handler in its own frame instead, with the same
+checks; handler_failure() builds the ERROR response for both.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import types
 from typing import Any, Callable, Generator, NamedTuple, Protocol, Union
 
 from .clock import Clock
-from .wire import Message
+from .wire import KIND_REQUEST, Message
 
 Handler = Callable[[Message], Union[Message, Generator]]
 
@@ -54,20 +56,32 @@ class Call(NamedTuple):
 def invoke_handler(handler: Handler, request: Message) -> Generator:
     """Run a handler against one request, yielding its effects through.
 
-    Returns the handler's response; any exception the handler lets escape
-    becomes a status-ERROR response carrying the exception text.
+    Returns the handler's response; any exception the handler lets escape,
+    or a result that is not a response Message, becomes the status-ERROR
+    response handler_failure() builds.
     """
     try:
-        out = handler(request)
-        if isinstance(out, types.GeneratorType):
-            response = yield from out
-        else:
-            response = out
-        if not isinstance(response, Message) or response.is_request:
-            raise TypeError("handler must produce a response Message")
+        response = handler(request)
+        if isinstance(response, types.GeneratorType):
+            response = yield from response
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
-        response = Message.error_response(request.method, f"{type(exc).__name__}: {exc}")
+        return handler_failure(request, exc)
+    if not isinstance(response, Message) or response.kind == KIND_REQUEST:
+        return handler_failure(request)
     return response
+
+
+def handler_failure(request: Message, exc: Exception | None = None) -> Message:
+    """The status-ERROR response standing in for a handler that failed.
+
+    exc is the exception the handler let escape; None means it produced
+    something other than a response Message. The response carries the
+    exception's type and text. invoke_handler() and the virtual hop
+    (sim.VirtualLink.exchange) both answer a failed handler with it.
+    """
+    if exc is None:
+        exc = TypeError("handler must produce a response Message")
+    return Message.error_response(request.method, f"{type(exc).__name__}: {exc}")
 
 
 def drive(task: Union[Message, Generator], clock: Clock) -> Message:

@@ -11,6 +11,9 @@ Methods on the blacklist (exact names or trailing-'*' prefixes) are
 annotated max-age=0 and never gain a history entry, so state-mutating
 calls can be excluded from caching.
 
+The history table is keyed on the request itself, the (method, payload)
+tuple, as the cache's store is; only the response body is digested.
+
 A housekeeping sweep drops entries idle longer than housekeeping_after
 so the table tracks only recently requested keys.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Generator, Iterable
 
 from .clock import Clock, seconds_to_ns
-from .digests import cache_key, response_digest
+from .digests import response_digest
 from .effects import Link, Sleep
 from .eventlog import EventLog
 from .ttl import (
@@ -85,7 +88,7 @@ class Estimator:
         self._housekeeping_after_ns = seconds_to_ns(housekeeping_after_s)
         self._max_ttl_cap = max_ttl_cap
         self._depth = required_history_depth(algorithm)
-        self._table: dict[bytes, ObservationHistory] = {}
+        self._table: dict[tuple[str, bytes], ObservationHistory] = {}
 
     @property
     def housekeeping_after_s(self) -> float:
@@ -100,10 +103,10 @@ class Estimator:
         if not response.ok:
             return response
 
-        if blacklist_matches(self._blacklist, request.method):
+        if self._blacklist and blacklist_matches(self._blacklist, request.method):
             return response.with_metadata("cache-control", "max-age=0")
 
-        key = cache_key(request.method, request.payload)
+        key = (request.method, request.payload)
         history = self._table.get(key)
         if history is None:
             history = empty_history(self._depth)
@@ -111,9 +114,10 @@ class Estimator:
         now_ns = self._clock.now_ns()
         history = self._table[key] = observe(history, now_ns, digest)
         ttl = estimate(self._algorithm, history, now_ns, self._max_ttl_cap)
+        ttl_text = str(ttl)
         if self._log is not None:
-            self._log.record(now_ns, "estimator", request.method, "estimate", str(ttl))
-        return response.with_metadata("cache-control", f"max-age={ttl}")
+            self._log.record(now_ns, "estimator", request.method, "estimate", ttl_text)
+        return response.with_metadata("cache-control", "max-age=" + ttl_text)
 
     def housekeeping_sweep(self, now_ns: int | None = None) -> int:
         """Evict entries idle longer than the housekeeping window."""

@@ -16,15 +16,28 @@ earlier, so it has the lower sequence number and must run first; the
 strict comparison keeps every such tie on the heap. spawn() never resumes
 in place, since it may run inside another task's step.
 
+Virtual time belongs to the scheduler. The Simulation is the only thing
+that advances its VirtualClock: run() moves it to each popped event with
+advance_to(), and advance_in_place() reads and writes the clock's time as
+a field, since a wake-up of now + max(0, d) cannot go backwards. It
+checks the wake-up against two fields as well: run()'s horizon, and the
+time of the first queued event, which a task step reads from the heap
+when it starts and call_at() lowers as it pushes (-inf while no task may
+resume in place). Only run() pops, and only between steps, so that field
+stays the heap's first time without looking at the heap on every Sleep.
+
 A VirtualLink models one hop of the topology as a generator step run
 inside the caller's task: `yield from link.exchange(request)` waits the
 link latency, runs the target handler (which may exchange through further
-links), and waits the same latency on the way back. A hop leg that may
-resume in place advances the clock without yielding, so it does not
-suspend the caller's `yield from` chain; otherwise it yields its Sleep to
-the task, which pushes the wake-up. Either way the rule is the one
-Simulation.advance_in_place applies, so every order and output is the
-same. Driven outside run(), a link yields every leg.
+links), and waits the same latency on the way back. The handler runs in
+the hop's own frame, one frame per hop, isolated as effects.invoke_handler
+isolates it: an uncaught exception or a result that is not a response
+Message becomes the ERROR response effects.handler_failure() builds. A
+hop leg that may resume in place advances the clock without yielding, so
+it does not suspend the caller's `yield from` chain; otherwise it yields
+its Sleep to the task, which pushes the wake-up. Either way the rule is
+the one Simulation.advance_in_place applies, so every order and output is
+the same. Driven outside run(), a link yields every leg.
 """
 
 from __future__ import annotations
@@ -32,11 +45,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from types import GeneratorType
 from typing import Callable, Generator
 
 from .clock import VirtualClock, seconds_to_ns
-from .effects import Handler, Sleep, invoke_handler
-from .wire import Message
+from .effects import Handler, Sleep, handler_failure
+from .wire import KIND_REQUEST, Message
 
 
 class Task:
@@ -52,8 +66,8 @@ class Task:
         in_place=False (spawn) always pushes the wake-up onto the heap.
         """
         sim = self._sim
-        outer = sim._in_place
-        sim._in_place = in_place
+        outer_in_place = sim._resume_before_ns != -math.inf
+        sim._set_in_place(in_place)
         try:
             while True:
                 try:
@@ -66,7 +80,7 @@ class Task:
                     sim.call_at(sim.clock.now_ns() + max(0, effect.duration_ns), self._step)
                     return
         finally:
-            sim._in_place = outer
+            sim._set_in_place(outer_in_place)
 
 
 class VirtualLink:
@@ -74,7 +88,8 @@ class VirtualLink:
 
     Symmetric latency is applied on delivery and on the response leg. The
     target handler is isolated exactly like a live server isolates it: an
-    uncaught exception becomes a status-ERROR response.
+    uncaught exception, or a result that is not a response Message,
+    becomes a status-ERROR response.
     """
 
     def __init__(self, sim: "Simulation", handler: Handler, latency_ns: int = 0) -> None:
@@ -86,7 +101,15 @@ class VirtualLink:
     def exchange(self, request: Message) -> Generator:
         if not self._sim.advance_in_place(self._latency_ns):
             yield self._latency
-        response = yield from invoke_handler(self._handler, request)
+        try:
+            response = self._handler(request)
+            if isinstance(response, GeneratorType):
+                response = yield from response
+        except Exception as exc:  # noqa: BLE001 - isolation is the contract
+            response = handler_failure(request, exc)
+        else:
+            if not isinstance(response, Message) or response.kind == KIND_REQUEST:
+                response = handler_failure(request)
         if not self._sim.advance_in_place(self._latency_ns):
             yield self._latency
         return response
@@ -102,9 +125,19 @@ class Simulation:
         # The horizon of the run() in progress; tasks resume in place only
         # up to it, so a run sliced by until_ns processes the same events.
         self._until_ns: float = math.inf
-        # True while run() steps a task that may resume in place; spawn()
-        # clears it for the steps it runs, even inside another task's step.
-        self._in_place = False
+        # While run() steps a task that may resume in place, the time of
+        # the first queued event (inf for none): a wake-up resumes in place
+        # only strictly before it. -inf otherwise; spawn() sets -inf for
+        # the steps it runs, even inside another task's step.
+        self._resume_before_ns: float = -math.inf
+
+    def _set_in_place(self, in_place: bool) -> None:
+        if not in_place:
+            self._resume_before_ns = -math.inf
+        elif self._heap:
+            self._resume_before_ns = self._heap[0][0]
+        else:
+            self._resume_before_ns = math.inf
 
     def advance_in_place(self, duration_ns: int) -> bool:
         """Advance the clock past a Sleep of duration_ns if it may resume in place.
@@ -113,20 +146,21 @@ class Simulation:
         through the heap: outside a task stepped by run(), past run()'s
         horizon, or not strictly before every queued event.
         """
-        if not self._in_place:
-            return False
-        t_ns = self.clock.now_ns()
+        clock = self.clock
+        t_ns = clock._now_ns
         if duration_ns > 0:
             t_ns += duration_ns
-        if t_ns > self._until_ns or (self._heap and self._heap[0][0] <= t_ns):
-            return False
-        self.clock.advance_to(t_ns)
-        return True
+        if t_ns < self._resume_before_ns and t_ns <= self._until_ns:
+            clock._now_ns = t_ns
+            return True
+        return False
 
     def call_at(self, t_ns: int, fn: Callable[[], None]) -> None:
         if t_ns < self.clock.now_ns():
             raise ValueError("cannot schedule an event in the past")
         heapq.heappush(self._heap, (t_ns, next(self._seq), fn))
+        if t_ns < self._resume_before_ns:
+            self._resume_before_ns = t_ns
 
     def spawn(self, gen: Generator) -> Task:
         """Start a task immediately at the current instant."""

@@ -2,8 +2,9 @@
 
 import pytest
 
+from meshcache.cache import Cache
 from meshcache.clock import NS_PER_S, VirtualClock
-from meshcache.digests import cache_key, response_digest
+from meshcache.digests import response_digest
 from meshcache.effects import DirectLink, drive, invoke_handler
 from meshcache.estimator import (
     Estimator,
@@ -54,9 +55,26 @@ def test_response_digest_is_stable_and_16_bytes():
 
 
 def test_cache_key_separates_method_from_payload():
-    assert cache_key("Get", b"Value") != cache_key("GetValue", b"")
-    assert cache_key("M", b"a") != cache_key("M", b"b")
-    assert cache_key("M", b"a") == cache_key("M", b"a")
+    # The cache and the estimator key on the request's (method, payload):
+    # two requests share a cache entry or a history only if both are equal.
+    def origin(request):
+        origin_calls.append((request.method, request.payload))
+        return Message.response(request.method, request.method.encode() + b"/" + request.payload)
+
+    for first, second in [(("Get", b"Value"), ("GetValue", b"")), (("M", b"a"), ("M", b"b"))]:
+        clock = VirtualClock()
+        origin_calls = []
+        est = Estimator(StaticTtl(5), DirectLink(origin, clock), clock)
+        cache = Cache(DirectLink(est.handle, clock), clock)
+        answers = [
+            drive(invoke_handler(cache.handle, Message.request(method, payload)), clock).payload
+            for method, payload in (first, second, first, second)
+        ]
+        expected = [f"{m}/".encode() + p for m, p in (first, second)]
+        assert answers == expected * 2
+        assert origin_calls == [first, second]
+        assert cache.size() == 2 and cache.snapshot_stats().hits == 2
+        assert est.table_size() == 2
 
 
 # --- forwarding and annotation ---

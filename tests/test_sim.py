@@ -120,6 +120,55 @@ def test_handler_exception_becomes_error_response():
     assert b"kaboom" in out[0].payload
 
 
+def failing_handler(case, link):
+    """A handler that breaks the isolation contract the way case names;
+    a nested hop goes through link."""
+
+    def plain_raises(request):
+        raise ValueError("plain handler failed")
+
+    def generator_raises(request):
+        raise KeyError("generator failed")
+        yield  # pragma: no cover - makes this a generator function
+
+    def raises_after_hop(request):
+        response = yield from link.exchange(request)
+        raise RuntimeError(f"failed after {response.payload!r}")
+
+    def returns_request(request):
+        return request
+
+    def returns_non_message(request):
+        return "junk"
+
+    return locals()[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["plain_raises", "generator_raises", "raises_after_hop", "returns_request", "returns_non_message"],
+)
+def test_virtual_hop_isolates_a_handler_as_invoke_handler_does(case):
+    def echo(request):
+        return Message.response(request.method, b"echo:" + request.payload)
+
+    request = Message.request("M", b"p")
+    sim = Simulation()
+    link = sim.virtual_link(failing_handler(case, sim.virtual_link(echo, 0.001)), 0.001)
+    got = []
+
+    def client():
+        got.append((yield from link.exchange(request)))
+
+    sim.spawn(client())
+    sim.run()
+
+    clock = VirtualClock()
+    expected = drive(invoke_handler(failing_handler(case, DirectLink(echo, clock)), request), clock)
+    assert expected.status == "error"
+    assert got == [expected]
+
+
 def test_two_hop_chain_runs_inside_the_callers_task(monkeypatch):
     sim = Simulation()
     spawned = []
