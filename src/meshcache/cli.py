@@ -131,16 +131,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"{log_path}: {exc}", file=sys.stderr)
             return 1
-        runs[rel] = {
-            "error_fraction": metrics.error_fraction,
-            "traffic_reduction": metrics.traffic_reduction,
-            "total_queries": metrics.total_queries,
-            "stale_queries": metrics.stale_queries,
-            "errored_queries": metrics.errored_queries,
-            "total_updates": metrics.total_updates,
-            "hits": metrics.hits,
-            "misses": metrics.misses,
-        }
+        runs[rel] = {**metrics.totals(), "hits": metrics.hits, "misses": metrics.misses}
     Path(args.out).write_text(
         json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n", encoding="ascii"
     )

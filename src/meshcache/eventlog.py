@@ -10,14 +10,17 @@ small and as cheap to build as a tuple (and compares equal to the plain
 tuple of its fields). The log is a plain in-memory list with no lock:
 both backends run every component that records on one thread (the
 virtual scheduler's, or the TCP backend's loop), and callers read the
-rows once the run has ended. sort() puts the rows in timestamp order in
-place, once, for a caller that needs them ordered; render() then writes
-them as they stand instead of sorting a copy again.
+rows once the run has ended.
+
+Rows stay in record order, which is timestamp order: every component
+stamps a row with a read of the run's one monotonic clock made just
+before it records, on that one thread, so no row can carry an earlier
+time than one recorded before it. rows() and render() hand them out as
+recorded, with no sort.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -27,16 +30,6 @@ class EventRow(NamedTuple):
     method: str
     event: str
     value: str = ""
-
-    def render(self) -> str:
-        return (
-            f"{self.timestamp_ns},{self.component},{self.method},"
-            f"{self.event},{self.value}"
-        )
-
-
-# EventRow.timestamp_ns, as a sort key.
-_timestamp = itemgetter(0)
 
 # Builds an EventRow from the tuple of its fields, skipping the field
 # constructor's argument handling.
@@ -48,8 +41,6 @@ class EventLog:
 
     def __init__(self) -> None:
         self._rows: list[EventRow] = []
-        # Rows are in timestamp order while no row was recorded since sort().
-        self._sorted_len = 0
 
     def record(
         self,
@@ -64,17 +55,12 @@ class EventLog:
     def rows(self) -> list[EventRow]:
         return list(self._rows)
 
-    def sort(self) -> None:
-        """Put the rows in timestamp order (stable), in place."""
-        self._rows.sort(key=_timestamp)
-        self._sorted_len = len(self._rows)
-
     def render(self) -> str:
-        """Whole log as CSV text, rows sorted by timestamp (stable)."""
-        rows = self._rows
-        if self._sorted_len != len(rows):
-            rows = sorted(rows, key=_timestamp)
-        return "".join(row.render() + "\n" for row in rows)
+        """Whole log as CSV text, one line per row in record order."""
+        return "".join([
+            f"{ts},{component},{method},{event},{value}\n"
+            for ts, component, method, event, value in self._rows
+        ])
 
     def write_to(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:

@@ -13,13 +13,20 @@ cache with SetValue blacklisted is available as a fidelity option.
 
 Each run directory holds four files:
 
-    events.csv      every timestamped CSV row from all components
+    events.csv      every timestamped CSV row from all components, in
+                    record order
     estimator.cfg   the estimator sidecar's key=value config (the run
                     builds the sidecar by parsing this file back)
-    result.json     metrics plus the per-window time series, all from one
-                    fold over the rows (compute_windows), which
-                    `meshcache aggregate` repeats on events.csv
+    result.json     the run's identity, the cache's counters, and the
+                    totals and windows of one fold over the rows
+                    (compute_windows), which `meshcache aggregate` repeats
+                    on events.csv; both take their totals from
+                    RunMetrics.totals()
     timeseries.csv  the same windows as CSV for plotting
+
+Neither the fold nor events.csv sorts the rows: record order is time
+order on both backends (see eventlog), so the fold's TTL sums run in time
+order, which fixes their rounding.
 
 A suite is the cross product configs x phases x seeds; it aggregates
 per (config, phase) by averaging seeds and writes scatter.csv.
@@ -31,7 +38,7 @@ import json
 import math
 from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -46,10 +53,11 @@ from .config import (
     parse_estimator_config,
 )
 from .effects import Handler, Link, Sleep
-from .estimator import Estimator, housekeeping_loop
+from .estimator import DEFAULT_HOUSEKEEPING_AFTER_S, Estimator, housekeeping_loop
 from .eventlog import EventLog, EventRow, parse_event_log
 from .sim import Simulation
 from .tcp import ServerHandle, TcpLink, run_actors, serve
+from .ttl import DEFAULT_MAX_TTL_CAP
 from .workload import (
     GET_METHOD,
     PHASE_SHIFTS,
@@ -79,8 +87,8 @@ class ExperimentConfig:
     clock_mode: str = "virtual"
     period_s: float | None = None  # None: period follows duration
     blacklist: tuple[str, ...] = ()
-    housekeeping_after_s: float = 300.0
-    max_ttl_cap: int | None = None  # None: estimator default cap
+    housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S
+    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP  # None: no cap
     updates_via_cache: bool = False
     link_latency_s: float = 0.0
 
@@ -88,16 +96,19 @@ class ExperimentConfig:
         parse_config_id(self.config_id)  # raises ValueError when unknown
         if self.clock_mode not in ("virtual", "real"):
             raise ValueError(f"clock_mode must be virtual or real, got {self.clock_mode!r}")
-        self.workload()  # checks phase, duration, period and seed
+        self.workload()  # checks phase, duration, seed and period
 
     def workload(self) -> WorkloadConfig:
+        # Built in two steps so that the duration is checked before the
+        # sinusoids, whose period follows it unless pinned.
+        workload = WorkloadConfig(
+            duration_s=self.duration_s, seed=self.seed, phase_tag=self.phase_tag
+        )
         period = self.period_s if self.period_s is not None else self.duration_s
-        return WorkloadConfig(
+        return replace(
+            workload,
             query=replace(QUERY_SINUSOID, period_s=period),
             update=replace(UPDATE_SINUSOID, period_s=period),
-            duration_s=self.duration_s,
-            seed=self.seed,
-            phase_tag=self.phase_tag,
         )
 
     def estimator_settings(self) -> EstimatorSettings:
@@ -105,14 +116,11 @@ class ExperimentConfig:
         blacklist = self.blacklist
         if self.updates_via_cache and SET_METHOD not in blacklist:
             blacklist = blacklist + (SET_METHOD,)
-        kwargs = {}
-        if self.max_ttl_cap is not None:
-            kwargs["max_ttl_cap"] = self.max_ttl_cap
         return EstimatorSettings(
             algorithm,
             blacklist=blacklist,
             housekeeping_after_s=self.housekeeping_after_s,
-            **kwargs,
+            max_ttl_cap=self.max_ttl_cap,
         )
 
 
@@ -122,69 +130,6 @@ class WindowStats:
     error_fraction: float
     hit_fraction: float
     mean_ttl: float
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    config_id: str
-    phase_tag: str
-    seed: int
-    duration_s: float
-    clock_mode: str
-    error_fraction: float
-    traffic_reduction: float
-    total_queries: int
-    stale_queries: int
-    errored_queries: int
-    total_updates: int
-    cache_stats: CacheStats
-    windows: tuple[WindowStats, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "phase": self.phase_tag,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "clock": self.clock_mode,
-            "error_fraction": self.error_fraction,
-            "traffic_reduction": self.traffic_reduction,
-            "total_queries": self.total_queries,
-            "stale_queries": self.stale_queries,
-            "errored_queries": self.errored_queries,
-            "total_updates": self.total_updates,
-            "cache": {
-                "hits": self.cache_stats.hits,
-                "misses": self.cache_stats.misses,
-                "insertions": self.cache_stats.insertions,
-                "expirations": self.cache_stats.expirations,
-            },
-            "windows": [
-                [w.start_s, w.error_fraction, w.hit_fraction, w.mean_ttl]
-                for w in self.windows
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ExperimentResult":
-        cache = data["cache"]
-        return ExperimentResult(
-            config_id=data["config_id"],
-            phase_tag=data["phase"],
-            seed=data["seed"],
-            duration_s=data["duration_s"],
-            clock_mode=data["clock"],
-            error_fraction=data["error_fraction"],
-            traffic_reduction=data["traffic_reduction"],
-            total_queries=data["total_queries"],
-            stale_queries=data["stale_queries"],
-            errored_queries=data["errored_queries"],
-            total_updates=data["total_updates"],
-            cache_stats=CacheStats(
-                cache["hits"], cache["misses"], cache["insertions"], cache["expirations"]
-            ),
-            windows=tuple(WindowStats(*w) for w in data["windows"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -217,6 +162,74 @@ class RunMetrics:
         if self.hits + self.misses == 0:
             raise ValueError("no cache lookups in log")
         return self.hits / (self.hits + self.misses)
+
+    def totals(self) -> dict[str, float]:
+        """The run totals result.json and `meshcache aggregate` report, by name.
+
+        hits and misses are left out: result.json keeps them in its cache
+        block. Raises ValueError as the two ratios do.
+        """
+        return {
+            "error_fraction": self.error_fraction,
+            "traffic_reduction": self.traffic_reduction,
+            "total_queries": self.total_queries,
+            "stale_queries": self.stale_queries,
+            "errored_queries": self.errored_queries,
+            "total_updates": self.total_updates,
+        }
+
+
+@dataclass(frozen=True)
+class ExperimentResult(RunMetrics):
+    """One run: its identity, the fold's metrics and the cache's counters.
+
+    The cache logs one row per lookup it counts, so hits and misses equal
+    cache_stats.hits and cache_stats.misses.
+    """
+
+    config_id: str
+    phase_tag: str
+    seed: int
+    duration_s: float
+    clock_mode: str
+    cache_stats: CacheStats
+
+    def to_json_dict(self) -> dict:
+        return {
+            "config_id": self.config_id,
+            "phase": self.phase_tag,
+            "seed": self.seed,
+            "duration_s": self.duration_s,
+            "clock": self.clock_mode,
+            **self.totals(),
+            "cache": asdict(self.cache_stats),
+            "windows": [
+                [w.start_s, w.error_fraction, w.hit_fraction, w.mean_ttl]
+                for w in self.windows
+            ],
+        }
+
+    @staticmethod
+    def from_json_dict(data: dict) -> "ExperimentResult":
+        cache = data["cache"]
+        # Every other field of the fold is a top-level count in the file.
+        counts = {
+            f.name: data[f.name]
+            for f in fields(RunMetrics)
+            if f.name not in ("hits", "misses", "windows")
+        }
+        return ExperimentResult(
+            config_id=data["config_id"],
+            phase_tag=data["phase"],
+            seed=data["seed"],
+            duration_s=data["duration_s"],
+            clock_mode=data["clock"],
+            hits=cache["hits"],
+            misses=cache["misses"],
+            windows=tuple(WindowStats(*w) for w in data["windows"]),
+            cache_stats=CacheStats(**cache),
+            **counts,
+        )
 
 
 def compute_windows(
@@ -373,24 +386,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             run_actors(actors)
-    # The windows' TTL sums run in timestamp order, which fixes their
-    # rounding; events.csv is written in the same order.
-    log.sort()
     metrics = compute_windows(log.rows(), start_ns, cfg.duration_s)
+    metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
+        **vars(metrics),
         config_id=parse_config_id(cfg.config_id)[0],
         phase_tag=cfg.phase_tag,
         seed=cfg.seed,
         duration_s=cfg.duration_s,
         clock_mode=cfg.clock_mode,
-        error_fraction=metrics.error_fraction,
-        traffic_reduction=metrics.traffic_reduction,
-        total_queries=metrics.total_queries,
-        stale_queries=metrics.stale_queries,
-        errored_queries=metrics.errored_queries,
-        total_updates=metrics.total_updates,
         cache_stats=cache.snapshot_stats(),
-        windows=metrics.windows,
     )
     if out_path is not None:
         log.write_to(out_path / "events.csv")
@@ -442,7 +447,7 @@ def scripted_actor(
 def run_scripted_trace(
     ops: Sequence[ScriptedOp],
     config_id: str,
-    max_ttl_cap: int | None = None,
+    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
 ) -> list[EventRow]:
     """Run a scripted trace through the virtual topology; returns log rows."""
     sim = Simulation()
@@ -455,7 +460,6 @@ def run_scripted_trace(
         scripted_actor(ops, sim.clock, cache_link, server_link, ledger, log, sim.clock.now_ns())
     )
     sim.run()
-    log.sort()
     return log.rows()
 
 
@@ -466,7 +470,7 @@ def aggregate_logs(text: str) -> RunMetrics:
     or a cache lookup raises ValueError here, not at first use of a ratio.
     """
     metrics = compute_windows(parse_event_log(text), 0, WINDOW_S)
-    metrics.error_fraction, metrics.traffic_reduction  # noqa: B018 - validates both
+    metrics.totals()  # validates both ratios
     return metrics
 
 

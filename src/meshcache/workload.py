@@ -84,6 +84,8 @@ class SinusoidConfig:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mean_rate, self.amplitude, self.period_s, self.phase))):
+            raise ValueError("sinusoid rates, period_s and phase must be finite")
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
         if self.amplitude < 0:
@@ -110,8 +112,8 @@ class WorkloadConfig:
             raise ValueError(
                 f"phase_tag must be one of {sorted(PHASE_SHIFTS)}, got {self.phase_tag!r}"
             )
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 

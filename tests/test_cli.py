@@ -9,6 +9,7 @@ import pytest
 
 from meshcache.cli import main
 from meshcache.config import parse_matrix
+from meshcache.harness import ExperimentConfig, read_result, run_experiment
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -79,6 +80,25 @@ def test_suite_matrix_with_unusable_run_knobs_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_a_duration_that_is_not_positive_and_finite_is_a_config_error(
+    tmp_path, capsys, command, duration
+):
+    out = tmp_path / "o"
+    if command == "run":
+        argv = ["run", "--config-id", "static-1", "--duration-s", duration, "--out", str(out)]
+        reported = "bad config"
+    else:
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text(f"static-1\nphases=0\nduration_s={duration}\n")
+        argv = ["suite", "--matrix", str(matrix), "--out", str(out)]
+        reported = "bad matrix"
+    assert main(argv) == 2
+    assert f"{reported}: duration_s must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
     code = main(["run", "--config-id", "static-1", "--seed", seed, "--duration-s", "5",
@@ -101,6 +121,22 @@ def test_aggregate_recomputes_metrics_from_logs(tmp_path, capsys):
     assert run_metrics["error_fraction"] == result["error_fraction"]
     assert run_metrics["traffic_reduction"] == result["traffic_reduction"]
     assert run_metrics["hits"] == result["cache"]["hits"]
+
+
+def test_a_run_directory_reads_back_and_aggregates_to_its_result(tmp_path, capsys):
+    cfg = ExperimentConfig("adaptive-0.5", "pi2", duration_s=120.0)
+    result = run_experiment(cfg, tmp_path / "run")
+    assert read_result(tmp_path / "run" / "result.json") == result
+    metrics_path = tmp_path / "metrics.json"
+    assert main(["aggregate", "--in", str(tmp_path / "run"), "--out", str(metrics_path)]) == 0
+    aggregated = json.loads(metrics_path.read_text())["runs"]["."]
+    written = json.loads((tmp_path / "run" / "result.json").read_text())
+    shared = aggregated.keys() & written.keys()
+    assert shared == set(result.totals())
+    assert {k: aggregated[k] for k in shared} == {k: written[k] for k in shared}
+    assert (aggregated["hits"], aggregated["misses"]) == (
+        written["cache"]["hits"], written["cache"]["misses"]
+    )
 
 
 def test_aggregate_without_logs_is_a_config_error(tmp_path, capsys):

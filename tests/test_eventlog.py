@@ -1,48 +1,33 @@
-"""CSV event log: rendering, parsing, ordering, thread safety."""
+"""CSV event log: rendering, parsing, record order, thread safety."""
 
 import threading
 
 import pytest
 
-from meshcache.eventlog import EventLog, EventRow, parse_event_log, parse_event_row
+from meshcache.eventlog import EventLog, parse_event_log, parse_event_row
 
 
 def test_row_renders_five_fields_with_trailing_value():
-    row = EventRow(1500000000, "cache", "GetValue", "hit")
-    assert row.render() == "1500000000,cache,GetValue,hit,"
-    ttl = EventRow(2, "estimator", "GetValue", "estimate", "5")
-    assert ttl.render() == "2,estimator,GetValue,estimate,5"
+    log = EventLog()
+    log.record(1500000000, "cache", "GetValue", "hit")
+    log.record(2, "estimator", "GetValue", "estimate", "5")
+    assert log.render() == (
+        "1500000000,cache,GetValue,hit,\n"
+        "2,estimator,GetValue,estimate,5\n"
+    )
 
 
-def test_render_sorts_by_timestamp_keeping_insertion_order_for_ties():
+def test_render_writes_rows_in_record_order():
     log = EventLog()
     log.record(20, "cache", "GetValue", "miss")
     log.record(10, "client", "GetValue", "ok")
     log.record(20, "estimator", "GetValue", "estimate", "3")
     assert log.render().splitlines() == [
-        "10,client,GetValue,ok,",
         "20,cache,GetValue,miss,",
+        "10,client,GetValue,ok,",
         "20,estimator,GetValue,estimate,3",
     ]
-
-
-def test_sort_orders_the_rows_in_place_and_render_keeps_sorting_later_rows():
-    log = EventLog()
-    log.record(20, "cache", "GetValue", "miss")
-    log.record(10, "client", "GetValue", "ok")
-    log.record(20, "estimator", "GetValue", "estimate", "3")
-    log.sort()
-    assert [(r.timestamp_ns, r.component) for r in log.rows()] == [
-        (10, "client"), (20, "cache"), (20, "estimator")
-    ]
-    assert log.render().splitlines()[0] == "10,client,GetValue,ok,"
-    log.record(5, "client", "SetValue", "ok")
-    assert log.render().splitlines() == [
-        "5,client,SetValue,ok,",
-        "10,client,GetValue,ok,",
-        "20,cache,GetValue,miss,",
-        "20,estimator,GetValue,estimate,3",
-    ]
+    assert [row.timestamp_ns for row in log.rows()] == [20, 10, 20]
 
 
 def test_parse_roundtrips_render():

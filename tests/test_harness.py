@@ -166,6 +166,11 @@ def test_workload_period_follows_duration_unless_pinned():
     assert pinned.workload().update.period_s == 1800.0
 
 
+def test_max_ttl_cap_none_means_no_cap(tmp_path):
+    run_experiment(ExperimentConfig("adaptive-0.5", duration_s=5.0, max_ttl_cap=None), tmp_path)
+    assert "max_ttl_cap=none\n" in (tmp_path / "estimator.cfg").read_text()
+
+
 def test_updates_via_cache_blacklists_set_value():
     cfg = ExperimentConfig(config_id="adaptive-0.5", updates_via_cache=True)
     assert "SetValue" in cfg.estimator_settings().blacklist
@@ -236,6 +241,37 @@ def test_log_aggregation_agrees_with_in_memory_counters(tmp_path):
         assert metrics.stale_queries == result["stale_queries"], name
         assert metrics.errored_queries == result["errored_queries"], name
         assert metrics.total_updates == result["total_updates"] > 0, name
+
+
+def assert_time_ordered(rows):
+    times = [row.timestamp_ns for row in rows]
+    assert times == sorted(times)
+
+
+# Neither the fold nor events.csv sorts the rows: every backend records
+# them in time order. events.csv holds them as recorded.
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig("updaterisk-0.5", "pi2", duration_s=300.0),
+        ExperimentConfig(
+            "updaterisk-0.5", "pi2", duration_s=300.0, link_latency_s=0.05, updates_via_cache=True
+        ),
+        ExperimentConfig("static-1", duration_s=1.0, clock_mode="real"),
+    ],
+    ids=["virtual", "virtual-latency-via-cache", "real"],
+)
+def test_runs_record_rows_in_time_order(tmp_path, cfg):
+    result = run_experiment(cfg, tmp_path)
+    assert result.total_queries > 0
+    assert_time_ordered(parse_event_log((tmp_path / "events.csv").read_text()))
+
+
+def test_scripted_traces_record_rows_in_time_order():
+    ops = [ScriptedOp(t * 0.5, kind) for t in range(40) for kind in ("query", "update", "query")]
+    rows = run_scripted_trace(ops, "adaptive-0.5")
+    assert len(rows) > len(ops)
+    assert_time_ordered(rows)
 
 
 def test_updates_can_be_routed_through_the_cache(tmp_path):
@@ -358,6 +394,21 @@ def test_a_crashed_actor_fails_the_run(monkeypatch, clock_mode):
     cfg = ExperimentConfig(config_id="static-1", duration_s=1.0, clock_mode=clock_mode)
     with pytest.raises(RuntimeError, match="update actor crashed"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "logged, error",
+    [((), "no completed queries"), ((("client", "GetValue", "ok"),), "no cache lookups")],
+)
+def test_a_run_without_a_ratio_to_report_fails(monkeypatch, logged, error):
+    def query_actor(sinusoid, clock, cache_link, ledger, rng, start_ns, end_ns, log):
+        for row in logged:
+            log.record(clock.now_ns(), *row)
+        yield from ()
+
+    monkeypatch.setattr(harness, "query_actor", query_actor)
+    with pytest.raises(ValueError, match=error):
+        run_experiment(ExperimentConfig(config_id="static-1", duration_s=1.0))
 
 
 def test_a_crashed_real_clock_actor_ends_the_run_at_once(monkeypatch):
@@ -525,19 +576,20 @@ def test_aggregate_requires_signal():
 
 
 def fake_result(config_id, phase, seed, tr, ef):
+    hits, stale = round(tr * 100), round(ef * 100)
     return ExperimentResult(
         config_id=config_id,
         phase_tag=phase,
         seed=seed,
         duration_s=300.0,
         clock_mode="virtual",
-        error_fraction=ef,
-        traffic_reduction=tr,
         total_queries=100,
-        stale_queries=int(ef * 100),
+        stale_queries=stale,
         errored_queries=0,
         total_updates=10,
-        cache_stats=CacheStats(int(tr * 100), 100 - int(tr * 100), 5, 2),
+        hits=hits,
+        misses=100 - hits,
+        cache_stats=CacheStats(hits, 100 - hits, 5, 2),
         windows=(WindowStats(0.0, ef, tr, 1.0),),
     )
 
