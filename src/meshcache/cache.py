@@ -20,18 +20,29 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
-from .clock import Clock, seconds_to_ns
+from .clock import NS_PER_S, Clock
 from .effects import Link
 from .eventlog import EventLog
-from .wire import Message
+from .wire import STATUS_OK, Message
+
+# Distinct cache-control values parse_max_age remembers. An estimator
+# issues one value per whole-second TTL, 31 of them under the default cap;
+# the bound keeps an uncapped estimator, or a live peer, from growing it.
+MAX_AGE_CACHE_SIZE = 256
 
 
 class CacheEntry(NamedTuple):
     key: tuple[str, bytes]  # (method, payload) of the request
     response: Message
     expires_at_ns: int
+
+
+# Builds a CacheEntry from the tuple of its fields, skipping the field
+# constructor's argument handling.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -46,12 +57,14 @@ class CacheStats:
         return self.hits + self.misses
 
 
+@lru_cache(maxsize=MAX_AGE_CACHE_SIZE)
 def parse_max_age(value: str | None) -> int | None:
     """Extract max-age seconds from a cache-control value.
 
     Directives are comma-separated; unknown ones are ignored. Returns
     None when the directive is absent or its value is not a plain
-    non-negative decimal (malformed means "treat as absent").
+    non-negative decimal of ASCII digits (malformed means "treat as
+    absent"). Memoised: a cache sees the same few values again and again.
     """
     if value is None:
         return None
@@ -60,7 +73,7 @@ def parse_max_age(value: str | None) -> int | None:
         if not directive.startswith("max-age="):
             continue
         digits = directive[len("max-age=") :]
-        if digits.isdigit():
+        if digits.isascii() and digits.isdigit():
             return int(digits)
         return None
     return None
@@ -106,11 +119,11 @@ class Cache:
             return hit
 
         response = yield from self._upstream.exchange(request)
-        if response.ok:
+        if response.status == STATUS_OK:
             ttl_s = parse_max_age(response.metadata_value("cache-control"))
             if ttl_s is not None and ttl_s >= 1:
-                inserted_ns = self._clock.now_ns()
-                self._store[key] = CacheEntry(key, response, inserted_ns + seconds_to_ns(ttl_s))
+                expires_at_ns = self._clock.now_ns() + ttl_s * NS_PER_S
+                self._store[key] = _new(CacheEntry, (key, response, expires_at_ns))
                 self._insertions += 1
         return response
 

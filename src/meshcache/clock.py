@@ -57,8 +57,8 @@ class VirtualClock:
     Tasks running under the scheduler must express waits as Sleep effects
     rather than calling sleep_until, which would otherwise stall the
     single-threaded event loop forever. The scheduler owns the time:
-    besides advance_to(), Simulation.advance_in_place() moves _now_ns
-    forward as a field.
+    besides advance_to(), a wake-up that resumes in place (sim.py) moves
+    _now_ns forward as a field.
     """
 
     def __init__(self, start_ns: int = 0) -> None:

@@ -35,7 +35,7 @@ from .ttl import (
     observe,
     required_history_depth,
 )
-from .wire import Message, validate_method_name
+from .wire import STATUS_OK, Message, validate_method_name
 
 DEFAULT_HOUSEKEEPING_AFTER_S = 300.0
 
@@ -100,7 +100,7 @@ class Estimator:
     def handle(self, request: Message) -> Generator:
         """Handler generator: forward upstream, observe, annotate."""
         response = yield from self._upstream.exchange(request)
-        if not response.ok:
+        if response.status != STATUS_OK:
             return response
 
         if self._blacklist and blacklist_matches(self._blacklist, request.method):

@@ -4,24 +4,27 @@ Row format, one event per line:
 
     <nanos>,<component>,<method>,<event>,<value>
 
-value may be empty (cache hit/miss rows leave it blank). Each row is an
-EventRow, a named tuple: the log holds one per event, so it is kept as
-small and as cheap to build as a tuple (and compares equal to the plain
-tuple of its fields). The log is a plain in-memory list with no lock:
-both backends run every component that records on one thread (the
-virtual scheduler's, or the TCP backend's loop), and callers read the
-rows once the run has ended.
+value may be empty (cache hit/miss rows leave it blank). A row is an
+EventRow, a named tuple, but the log keeps each one as the plain tuple of
+its fields: it holds one per event, and a plain tuple of ints and strings
+is cheaper to build and is soon untracked by the cyclic garbage
+collector, which would otherwise traverse every row again and again.
+rows() hands the rows out as EventRows; iterating the log yields the
+plain tuples, for a fold that unpacks them by position. The log is a
+plain in-memory list with no lock: both backends run every component
+that records on one thread (the virtual scheduler's, or the TCP
+backend's loop), and callers read the rows once the run has ended.
 
 Rows stay in record order, which is timestamp order: every component
 stamps a row with a read of the run's one monotonic clock made just
 before it records, on that one thread, so no row can carry an earlier
-time than one recorded before it. rows() and render() hand them out as
-recorded, with no sort.
+time than one recorded before it. rows(), iteration and render() hand
+them out as recorded, with no sort.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class EventRow(NamedTuple):
@@ -35,12 +38,15 @@ class EventRow(NamedTuple):
 # constructor's argument handling.
 _new = tuple.__new__
 
+# What the log keeps per row: the plain tuple of an EventRow's fields.
+RowFields = tuple[int, str, str, str, str]
+
 
 class EventLog:
     """In-memory event sink."""
 
     def __init__(self) -> None:
-        self._rows: list[EventRow] = []
+        self._rows: list[RowFields] = []
 
     def record(
         self,
@@ -50,10 +56,13 @@ class EventLog:
         event: str,
         value: str = "",
     ) -> None:
-        self._rows.append(_new(EventRow, (timestamp_ns, component, method, event, value)))
+        self._rows.append((timestamp_ns, component, method, event, value))
 
     def rows(self) -> list[EventRow]:
-        return list(self._rows)
+        return [_new(EventRow, row) for row in self._rows]
+
+    def __iter__(self) -> Iterator[RowFields]:
+        return iter(self._rows)
 
     def render(self) -> str:
         """Whole log as CSV text, one line per row in record order."""

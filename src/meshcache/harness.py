@@ -54,7 +54,7 @@ from .config import (
 )
 from .effects import Handler, Link, Sleep
 from .estimator import DEFAULT_HOUSEKEEPING_AFTER_S, Estimator, housekeeping_loop
-from .eventlog import EventLog, EventRow, parse_event_log
+from .eventlog import EventLog, EventRow, RowFields, parse_event_log
 from .sim import Simulation
 from .tcp import ServerHandle, TcpLink, run_actors, serve
 from .ttl import DEFAULT_MAX_TTL_CAP
@@ -96,6 +96,15 @@ class ExperimentConfig:
         parse_config_id(self.config_id)  # raises ValueError when unknown
         if self.clock_mode not in ("virtual", "real"):
             raise ValueError(f"clock_mode must be virtual or real, got {self.clock_mode!r}")
+        if not (self.link_latency_s >= 0 and math.isfinite(self.link_latency_s)):
+            raise ValueError(
+                f"link_latency_s must be non-negative and finite, got {self.link_latency_s}"
+            )
+        if not (self.housekeeping_after_s > 0 and math.isfinite(self.housekeeping_after_s)):
+            raise ValueError(
+                "housekeeping_after_s must be positive and finite, "
+                f"got {self.housekeeping_after_s}"
+            )
         self.workload()  # checks phase, duration, seed and period
 
     def workload(self) -> WorkloadConfig:
@@ -233,7 +242,7 @@ class ExperimentResult(RunMetrics):
 
 
 def compute_windows(
-    rows: Iterable[EventRow],
+    rows: Iterable[RowFields],
     start_ns: int,
     duration_s: float,
     window_s: float = WINDOW_S,
@@ -242,7 +251,8 @@ def compute_windows(
 
     Each window holds its error fraction, hit fraction and mean issued
     TTL; rows outside [0, duration) count in the first or last window.
-    Rows are unpacked by position, in the EventRow field order.
+    Rows are unpacked by position, in the EventRow field order, so plain
+    tuples of the fields (an EventLog iterated) fold as EventRows do.
     """
     count = max(1, math.ceil(duration_s / window_s))
     window_ns = seconds_to_ns(window_s)
@@ -380,13 +390,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             housekeeping_loop(estimator, end_ns, clock),
         ]
         if sim is not None:
-            for actor in actors:
-                sim.spawn(actor)
-            sim.run(until_ns=end_ns)
+            try:
+                for actor in actors:
+                    sim.spawn(actor)
+                sim.run(until_ns=end_ns)
+            finally:
+                # The actors still queued past end_ns would otherwise keep
+                # the simulation and the log alive in a reference cycle.
+                sim.close()
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             run_actors(actors)
-    metrics = compute_windows(log.rows(), start_ns, cfg.duration_s)
+    metrics = compute_windows(log, start_ns, cfg.duration_s)
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
         **vars(metrics),

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from .clock import NS_PER_MS, Clock
 from .effects import Link, Sleep, TransportError
 from .eventlog import EventLog
-from .wire import Message
+from .wire import STATUS_OK, Message
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,7 +212,7 @@ def classify_response(
     response: Message | None, expected_before: bytes, ledger: StalenessLedger
 ) -> str:
     """ok / stale / error for one GetValue outcome."""
-    if response is None or not response.ok:
+    if response is None or response.status != STATUS_OK:
         return "error"
     if response.payload == expected_before:
         return "ok"
@@ -222,14 +222,19 @@ def classify_response(
 
 
 def query_once(clock: Clock, cache_link: Link, ledger: StalenessLedger, log: EventLog) -> Generator:
-    """One GetValue through the cache, classified against the ledger and logged."""
+    """One GetValue through the cache, classified against the ledger and logged.
+
+    Returns the instant of the log row.
+    """
     expected = ledger.expected_value
     try:
         response = yield from cache_link.exchange(GET_REQUEST)
     except TransportError:
         response = None
     outcome = classify_response(response, expected, ledger)
-    log.record(clock.now_ns(), "client", GET_METHOD, outcome)
+    now_ns = clock.now_ns()
+    log.record(now_ns, "client", GET_METHOD, outcome)
+    return now_ns
 
 
 def update_once(
@@ -239,7 +244,10 @@ def update_once(
     value: bytes,
     log: EventLog,
 ) -> Generator:
-    """One SetValue of value, published in the ledger once acknowledged, and logged."""
+    """One SetValue of value, published in the ledger once acknowledged, and logged.
+
+    Returns the instant of the log row.
+    """
     request = Message.request(SET_METHOD, value)
     response = None
     for _ in range(2):  # one retry on transport failure
@@ -248,12 +256,14 @@ def update_once(
         except TransportError:
             continue
         break
-    if response is not None and response.ok:
+    if response is not None and response.status == STATUS_OK:
         ledger.publish(value)
         outcome = "ok"
     else:
         outcome = "error"
-    log.record(clock.now_ns(), "client", SET_METHOD, outcome)
+    now_ns = clock.now_ns()
+    log.record(now_ns, "client", SET_METHOD, outcome)
+    return now_ns
 
 
 def query_actor(
@@ -269,8 +279,8 @@ def query_actor(
     """Issue GetValue at the sinusoid's pace until end_ns."""
     gaps = ExponentialGaps(rng)
     while clock.now_ns() < end_ns:
-        yield from query_once(clock, cache_link, ledger, log)
-        t_s = (clock.now_ns() - start_ns) / 1e9
+        logged_ns = yield from query_once(clock, cache_link, ledger, log)
+        t_s = (logged_ns - start_ns) / 1e9
         yield _new(Sleep, (next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS,))
 
 
@@ -289,6 +299,8 @@ def update_actor(
     counter = 0
     while clock.now_ns() < end_ns:
         counter += 1
-        yield from update_once(clock, server_link, ledger, str(counter).encode("ascii"), log)
-        t_s = (clock.now_ns() - start_ns) / 1e9
+        logged_ns = yield from update_once(
+            clock, server_link, ledger, str(counter).encode("ascii"), log
+        )
+        t_s = (logged_ns - start_ns) / 1e9
         yield _new(Sleep, (next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS,))

@@ -72,5 +72,12 @@ class ReferenceSimulation:
         if until_ns is not None and until_ns > self.clock.now_ns():
             self.clock.advance_to(until_ns)
 
+    def close(self) -> None:
+        heap, self._heap = self._heap, []
+        for _, _, fn in heap:
+            task = getattr(fn, "__self__", None)
+            if isinstance(task, ReferenceTask):
+                task._gen.close()
+
     def virtual_link(self, handler: Handler, latency_s: float = 0.0) -> ReferenceLink:
         return ReferenceLink(handler, seconds_to_ns(latency_s))

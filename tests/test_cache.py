@@ -53,6 +53,8 @@ def lookup(cache, clock, method="GetValue", payload=b""):
         ("max-age=abc", None),
         ("max-age=-3", None),
         ("max-age=1.5", None),
+        ("max-age=\u00b2", None),  # superscript two: a Unicode digit int() refuses
+        ("max-age=\u0663", None),  # Arabic-Indic three: a Unicode digit int() accepts
     ],
 )
 def test_parse_max_age(value, expected):

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
+import functools
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from meshcache import cli
 from meshcache.cli import main
 from meshcache.config import parse_matrix
 from meshcache.harness import ExperimentConfig, read_result, run_experiment
@@ -105,6 +108,23 @@ def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "bad config" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("link_latency_s", v) for v in (-1.0, math.nan, math.inf)]
+    + [("housekeeping_after_s", v) for v in (0.0, math.nan, math.inf)],
+)
+def test_run_rejects_a_bad_latency_or_housekeeping_value(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    # `meshcache run` has no flag for either field; the config it builds
+    # gets the value here, so it is refused before anything runs.
+    monkeypatch.setattr(cli, "ExperimentConfig", functools.partial(ExperimentConfig, **{field: value}))
+    code = main(["run", "--config-id", "static-1", "--duration-s", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"bad config: {field} must be" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

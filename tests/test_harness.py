@@ -1,6 +1,8 @@
 """Experiment harness: windows, runs, scripted traces, aggregation, suites."""
 
+import gc
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,6 +10,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,12 @@ def test_experiment_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             ExperimentConfig(config_id="static-1", seed=seed)
+    for latency in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="link_latency_s must be non-negative and finite"):
+            ExperimentConfig(config_id="static-1", link_latency_s=latency)
+    for after in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
+            ExperimentConfig(config_id="static-1", housekeeping_after_s=after)
 
 
 def test_workload_period_follows_duration_unless_pinned():
@@ -307,6 +316,31 @@ def test_virtual_run_spawns_one_task_per_actor(monkeypatch):
     result = run_experiment(cfg)
     assert result.total_queries > 0 and result.cache_stats.misses > 0
     assert len(spawned) == 3
+
+
+def test_a_virtual_run_is_freed_when_it_returns(monkeypatch):
+    # The query and update actors are still queued past end_ns when the
+    # run ends, and their links hold the simulation: without the cyclic
+    # collector, only closing them frees the simulation and its log.
+    made = []
+
+    def tracking(cls):
+        def build(*args):
+            obj = cls(*args)
+            made.append(weakref.ref(obj))
+            return obj
+
+        return build
+
+    monkeypatch.setattr(harness, "EventLog", tracking(harness.EventLog))
+    monkeypatch.setattr(harness, "Simulation", tracking(Simulation))
+    gc.disable()
+    try:
+        result = run_experiment(ExperimentConfig(config_id="static-1", duration_s=60.0))
+        assert result.total_queries > 0
+        assert len(made) == 2 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("config_id", ["static-0", "static-30", "updaterisk-0.5"])

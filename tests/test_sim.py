@@ -460,6 +460,67 @@ def test_random_tasks_match_the_reference_scheduler():
         assert trace(Simulation, seed, []) == expected
 
 
+def test_random_exchanges_match_the_reference_scheduler():
+    # Actors that mix Sleeps with round trips over one- and two-hop chains
+    # of virtual links (latency 0 to 3 ns), whose handlers also push
+    # callbacks and sleep, plus callbacks queued up front, a horizon and
+    # sliced runs: hop legs resumed in place give the trace of the plain
+    # heap loop, whose links yield every leg.
+    def trace(sim_class, seed, slices):
+        rng = random.Random(seed)
+        sim = sim_class()
+        seen = []
+
+        def server(request):
+            seen.append((sim.clock.now_ns(), "server", request.payload))
+            if rng.random() < 0.2:
+                t = sim.clock.now_ns() + rng.choice([0, 1, 3])
+                sim.call_at(t, lambda: seen.append((sim.clock.now_ns(), "pushed by server")))
+            return Message.response(request.method, request.payload)
+
+        def relay(link):
+            def handle(request):
+                seen.append((sim.clock.now_ns(), "relay", request.payload))
+                response = yield from link.exchange(request)
+                if rng.random() < 0.3:
+                    yield Sleep(rng.choice([0, 1, 2]))
+                return response
+
+            return handle
+
+        def latency_s():
+            return rng.choice([0, 0, 1, 2, 3]) / NS_PER_S
+
+        servers = [sim.virtual_link(server, latency_s()) for _ in range(2)]
+        relays = [sim.virtual_link(relay(rng.choice(servers)), latency_s()) for _ in range(2)]
+
+        def actor(name):
+            for i in range(rng.randint(1, 20)):
+                if rng.random() < 0.4:
+                    yield Sleep(rng.choice([0, 0, 1, 2, 5]))
+                    seen.append((sim.clock.now_ns(), name))
+                else:
+                    link = rng.choice(servers + relays)
+                    request = Message.request("M", f"{name}.{i}".encode())
+                    response = yield from link.exchange(request)
+                    seen.append((sim.clock.now_ns(), name, response.payload))
+
+        for name in range(rng.randint(1, 5)):
+            sim.spawn(actor(name))
+        for t in sorted(rng.sample(range(60), 6)):
+            sim.call_at(t, lambda t=t: seen.append((t, "callback")))
+        for until in slices:
+            sim.run(until)
+        sim.run(80)
+        return seen, sim.clock.now_ns(), len(sim._heap)
+
+    for seed in range(60):
+        slices = sorted(random.Random(-seed).sample(range(70), seed % 6))
+        expected = trace(ReferenceSimulation, seed, [])
+        assert trace(Simulation, seed, slices) == expected
+        assert trace(Simulation, seed, []) == expected
+
+
 def test_task_runs_to_completion():
     sim = Simulation()
     finished = []
