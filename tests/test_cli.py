@@ -121,7 +121,8 @@ def test_run_rejects_a_bad_latency_or_housekeeping_value(
 ):
     # `meshcache run` has no flag for either field; the config it builds
     # gets the value here, so it is refused before anything runs.
-    monkeypatch.setattr(cli, "ExperimentConfig", functools.partial(ExperimentConfig, **{field: value}))
+    bad_config = functools.partial(ExperimentConfig, **{field: value})
+    monkeypatch.setattr(cli, "ExperimentConfig", bad_config)
     code = main(["run", "--config-id", "static-1", "--duration-s", "5", "--out", str(tmp_path)])
     assert code == 2
     assert f"bad config: {field} must be" in capsys.readouterr().err
