@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .estimator import DEFAULT_HOUSEKEEPING_AFTER_S, validate_blacklist
+from .estimator import (
+    DEFAULT_HOUSEKEEPING_AFTER_S,
+    validate_blacklist,
+    validate_housekeeping_after,
+)
 from .ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
 from .workload import PHASE_SHIFTS, WorkloadConfig
 
@@ -142,7 +146,10 @@ def parse_estimator_config(text: str) -> EstimatorSettings:
         raise ValueError(f"unknown algorithm {family!r}")
     raw_blacklist = values.pop("blacklist", "")
     blacklist = tuple(p.strip() for p in raw_blacklist.split(",") if p.strip())
-    housekeeping = float(values.pop("housekeeping_after", str(DEFAULT_HOUSEKEEPING_AFTER_S)))
+    housekeeping = validate_housekeeping_after(
+        float(values.pop("housekeeping_after", str(DEFAULT_HOUSEKEEPING_AFTER_S))),
+        "housekeeping_after",
+    )
     raw_cap = values.pop("max_ttl_cap", str(DEFAULT_MAX_TTL_CAP))
     cap = None if raw_cap.lower() == "none" else int(raw_cap)
     if values:

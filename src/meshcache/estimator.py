@@ -20,6 +20,7 @@ so the table tracks only recently requested keys.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator, Iterable
 
 from .clock import Clock, seconds_to_ns
@@ -55,6 +56,13 @@ def validate_blacklist(patterns: Iterable[str]) -> tuple[str, ...]:
     return tuple(checked)
 
 
+def validate_housekeeping_after(seconds: float, field: str = "housekeeping_after_s") -> float:
+    """Check a housekeeping window up front: positive and finite seconds."""
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise ValueError(f"{field} must be positive and finite, got {seconds}")
+    return seconds
+
+
 def blacklist_matches(patterns: Iterable[str], method: str) -> bool:
     for pattern in patterns:
         if pattern.endswith("*"):
@@ -78,8 +86,7 @@ class Estimator:
         housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S,
         max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
     ) -> None:
-        if housekeeping_after_s <= 0:
-            raise ValueError("housekeeping_after_s must be positive")
+        validate_housekeeping_after(housekeeping_after_s)
         self._algorithm = algorithm
         self._upstream = upstream
         self._clock = clock

@@ -53,7 +53,12 @@ from .config import (
     parse_estimator_config,
 )
 from .effects import Handler, Link, Sleep
-from .estimator import DEFAULT_HOUSEKEEPING_AFTER_S, Estimator, housekeeping_loop
+from .estimator import (
+    DEFAULT_HOUSEKEEPING_AFTER_S,
+    Estimator,
+    housekeeping_loop,
+    validate_housekeeping_after,
+)
 from .eventlog import EventLog, EventRow, RowFields, parse_event_log
 from .sim import Simulation
 from .tcp import ServerHandle, TcpLink, run_actors, serve
@@ -100,11 +105,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"link_latency_s must be non-negative and finite, got {self.link_latency_s}"
             )
-        if not (self.housekeeping_after_s > 0 and math.isfinite(self.housekeeping_after_s)):
-            raise ValueError(
-                "housekeeping_after_s must be positive and finite, "
-                f"got {self.housekeeping_after_s}"
-            )
+        validate_housekeeping_after(self.housekeeping_after_s)
         self.workload()  # checks phase, duration, seed and period
 
     def workload(self) -> WorkloadConfig:

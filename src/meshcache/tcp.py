@@ -40,12 +40,15 @@ from typing import Any
 
 from .clock import Clock, SystemClock, seconds_to_ns
 from .effects import Call, Handler, Sleep, TransportError, drive, invoke_handler  # noqa: F401
-from .wire import MAX_FRAME_LEN, DecodeError, EncodeError, Message, OversizeFrameError, decode, encode
+from .wire import MAX_FRAME_LEN, DecodeError, Message, OversizeFrameError, decode, encode
 
 # tcp.drive stays importable: bench/tracer.py wraps it by that name.
 
 _PREFIX = struct.Struct(">I")
 _RECV_SIZE = 65536
+# A server out of file descriptors tries to accept again after this long,
+# unless one of its own connections closes first.
+_ACCEPT_RETRY_NS = 100_000_000
 
 
 class _FrameReader:
@@ -383,6 +386,19 @@ class _Connection:
         self._on_close(self, reason)
 
 
+def _answer_error(conn: _Connection, method: str, detail: str, request_id: int) -> None:
+    """Answer with an ERROR frame, or close the connection if none can be framed.
+
+    Either way the peer hears at once: a request is never left unanswered.
+    """
+    try:
+        frame = encode(Message.error_response(method, detail, request_id))
+    except Exception as exc:  # noqa: BLE001 - the peer gets a closed connection instead
+        conn.close(exc)
+        return
+    conn.write(frame)
+
+
 class ServerHandle:
     """Running server; close() stops accepting and drops open connections."""
 
@@ -391,35 +407,48 @@ class ServerHandle:
         self._listener = listener
         self._handler = handler
         self._conns: set[_Connection] = set()
+        self._listening = False
         self._closed = False
         self.address: tuple[str, int] = listener.getsockname()[:2]
 
     def _open(self) -> None:
         self._loop.selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._listening = True
 
     def _accept(self, events: int) -> None:
         while True:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:
-                return  # nothing left to accept (or no descriptor to take it with)
+            except OSError as exc:
+                if exc.errno in (errno.EMFILE, errno.ENFILE):
+                    # Out of descriptors: the listener would stay readable
+                    # and spin the loop, so stop reading it until one of
+                    # its connections closes, or a while has passed for
+                    # descriptors held elsewhere in the process.
+                    self._loop.selector.unregister(self._listener)
+                    self._listening = False
+                    self._loop.call_at(time.monotonic_ns() + _ACCEPT_RETRY_NS, self._resume)
+                return  # nothing left to accept
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns.add(_Connection(self._loop, sock, self._serve_frame, self._forget))
 
+    def _resume(self) -> None:
+        if not self._listening and not self._closed:
+            self._open()
+
     def _forget(self, conn: _Connection, reason: BaseException) -> None:
         self._conns.discard(conn)
+        self._resume()
 
     def _serve_frame(self, conn: _Connection, frame: bytes) -> None:
         try:
             request = decode(frame)
         except DecodeError as exc:
-            conn.write(encode(Message.error_response("", f"bad frame: {exc}")))
+            _answer_error(conn, "", f"bad frame: {exc}", 0)
             return
         if not request.is_request:
-            conn.write(encode(Message.error_response(
-                request.method, "expected a request frame", request.request_id
-            )))
+            _answer_error(conn, request.method, "expected a request frame", request.request_id)
             return
         answer = partial(self._answer, conn, request)
         _Task(self._loop, invoke_handler(self._handler, request), answer).step()
@@ -433,16 +462,19 @@ class ServerHandle:
         if error is None:
             try:
                 frame = encode(response.with_request_id(request.request_id))  # type: ignore[union-attr]
-            except EncodeError as exc:
+            except Exception as exc:  # noqa: BLE001 - answered with an ERROR frame
                 error = exc
-        if error is not None:
-            frame = encode(Message.error_response(
-                request.method, f"{type(error).__name__}: {error}", request.request_id
-            ))
-        conn.write(frame)
+            else:
+                conn.write(frame)
+                return
+        _answer_error(
+            conn, request.method, f"{type(error).__name__}: {error}", request.request_id
+        )
 
     def _shutdown(self) -> None:
-        self._loop.selector.unregister(self._listener)
+        if self._listening:
+            self._loop.selector.unregister(self._listener)
+            self._listening = False
         self._listener.close()
         for conn in list(self._conns):
             conn.close(ConnectionError("server closed"))

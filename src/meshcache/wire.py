@@ -14,6 +14,11 @@ Frame layout (all integers big-endian):
 Frames are capped at 16 MiB. The encoding is canonical: decode() rejects
 anything encode() would not produce, so decode(encode(m)) == m and any
 accepted byte string re-encodes to itself.
+
+encode() and decode() remember the head (kind, status and method) and the
+metadata of the frames they have checked, in small bounded memos, so a
+sidecar that repeats a few methods and cache-control values checks and
+builds those bytes once; a memo miss runs every check.
 """
 
 from __future__ import annotations
@@ -153,8 +158,47 @@ def validate_method_name(method: str) -> None:
         raise ValueError(f"method name must be ASCII without commas or newlines: {method!r}")
 
 
-def _check(message: Message) -> None:
-    kind, method, status = message.kind, message.method, message.status
+# The fixed-size runs of the layout, packed and unpacked in one call each.
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_REQUEST_HEAD = struct.Struct(">BH")  # kind, method length
+_RESPONSE_HEAD = struct.Struct(">BBH")  # kind, status, method length
+_ID_AND_PAIRS = struct.Struct(">QH")  # request id, metadata pair count
+
+# The codec remembers the pieces of a frame it has already checked: the
+# head (kind byte through method) and the metadata, which a sidecar
+# repeats on almost every frame. A memo is cleared when it reaches
+# _MEMO_ENTRIES entries, and a piece longer than _MEMO_PIECE_BYTES is never
+# kept, so a peer cannot make the memos hold much memory. There is no lock:
+# each memo operation is one dict operation on immutable keys and values,
+# and threads that interleave can at worst clear a memo early or overshoot
+# its bound by one entry each.
+_MEMO_ENTRIES = 256
+_MEMO_PIECE_BYTES = 256
+
+# encode(): (kind, status, method) -> head bytes; metadata tuple -> pair
+# count and pair bytes.
+_ENCODED_HEADS: dict[tuple, bytes] = {}
+_ENCODED_METADATA: dict[tuple, bytes] = {}
+# decode(): head bytes -> (kind, status, method); one pair's bytes, with
+# both length fields -> (key, value).
+_DECODED_HEADS: dict[bytes, tuple] = {}
+_DECODED_PAIRS: dict[bytes, tuple[str, str]] = {}
+
+
+def _remember(memo: dict, key: object, value: object) -> None:
+    """Keep key -> value, clearing a full memo first; an unhashable key is not kept."""
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    try:
+        memo[key] = value
+    except TypeError:
+        pass
+
+
+def _encode_head(kind: str, status: str | None, method: str) -> bytes:
+    """Check kind, status and method as encode() requires; their bytes."""
     if kind not in _KIND_BYTE:
         raise EncodeError(f"kind must be request or response, got {kind!r}")
     if kind == KIND_REQUEST:
@@ -168,50 +212,66 @@ def _check(message: Message) -> None:
         raise EncodeError("method must be ASCII without commas or newlines")
     if len(method) > 0xFFFF:
         raise EncodeError("method too long")
-    if not 0 <= message.request_id <= 0xFFFFFFFFFFFFFFFF:
-        raise EncodeError("request_id out of u64 range")
-    if len(message.metadata) > 0xFFFF:
+    raw = method.encode("ascii")
+    if kind == KIND_REQUEST:
+        head = _REQUEST_HEAD.pack(0x00, len(raw)) + raw
+    else:
+        head = _RESPONSE_HEAD.pack(0x01, _STATUS_BYTE[status], len(raw)) + raw  # type: ignore[index]
+    if len(head) <= _MEMO_PIECE_BYTES:
+        _remember(_ENCODED_HEADS, (kind, status, method), head)
+    return head
+
+
+def _encode_metadata(metadata: tuple[tuple[str, str], ...]) -> bytes:
+    """Check the metadata pairs as encode() requires; their count and bytes."""
+    if len(metadata) > 0xFFFF:
         raise EncodeError("too many metadata pairs")
-    for key, value in message.metadata:
+    parts = [_U16.pack(len(metadata))]
+    for key, value in metadata:
         if not key or not key.isascii() or key != key.lower():
             raise EncodeError(f"metadata key must be non-empty lowercase ASCII: {key!r}")
         if not value.isascii():
             raise EncodeError(f"metadata value must be ASCII: {value!r}")
         if len(key) > 0xFFFF or len(value) > 0xFFFF:
             raise EncodeError("metadata pair too long")
-
-
-# The fixed-size runs of the layout, packed and unpacked in one call each.
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_REQUEST_HEAD = struct.Struct(">IBH")  # length prefix, kind, method length
-_RESPONSE_HEAD = struct.Struct(">IBBH")  # length prefix, kind, status, method length
-_ID_AND_PAIRS = struct.Struct(">QH")  # request id, metadata pair count
-
-
-def encode(message: Message) -> bytes:
-    """Serialize one message to a frame, byte-exact per the layout above."""
-    _check(message)
-    method = message.method.encode("ascii")
-    metadata = message.metadata
-    payload = message.payload
-    parts = [b"", method, _ID_AND_PAIRS.pack(message.request_id, len(metadata))]
-    for key, value in metadata:
         kb = key.encode("ascii")
         vb = value.encode("ascii")
         parts += (_U16.pack(len(kb)), kb, _U16.pack(len(vb)), vb)
-    parts.append(_U32.pack(len(payload)))
-    parts.append(payload)
-    request = message.kind == KIND_REQUEST
+    piece = b"".join(parts)
+    if len(piece) <= _MEMO_PIECE_BYTES:
+        _remember(_ENCODED_METADATA, metadata, piece)
+    return piece
+
+
+def encode(message: Message) -> bytes:
+    """Serialize one message to a frame, byte-exact per the layout above.
+
+    The head and the metadata come from the memos when seen before, and
+    are checked and remembered otherwise; the request id and the frame
+    cap are checked on every call.
+    """
+    kind, method, payload, metadata, status, request_id = message
+    try:
+        head = _ENCODED_HEADS.get((kind, status, method))
+    except TypeError:  # an unhashable field
+        head = None
+    if head is None:
+        head = _encode_head(kind, status, method)
+    if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
+        raise EncodeError("request_id out of u64 range")
+    try:
+        pairs = _ENCODED_METADATA.get(metadata)
+    except TypeError:
+        pairs = None
+    if pairs is None:
+        pairs = _encode_metadata(metadata)
     # The body is everything after the length prefix.
-    total = (3 if request else 4) + sum(map(len, parts))
+    total = len(head) + len(pairs) + len(payload) + 12
     if total > MAX_FRAME_LEN:
         raise EncodeError("payload pushes frame past the 16 MiB cap")
-    if request:
-        parts[0] = _REQUEST_HEAD.pack(total, 0x00, len(method))
-    else:
-        parts[0] = _RESPONSE_HEAD.pack(total, 0x01, _STATUS_BYTE[message.status], len(method))  # type: ignore[index]
-    return b"".join(parts)
+    return b"".join(
+        (_U32.pack(total), head, _U64.pack(request_id), pairs, _U32.pack(len(payload)), payload)
+    )
 
 
 def _short() -> TruncatedFrameError:
@@ -223,8 +283,12 @@ def decode(data: bytes) -> Message:
 
     One pass over the buffer: every length is validated against the
     frame before it is read, and the resulting message must satisfy the
-    same invariants encode() enforces.
+    same invariants encode() enforces. A head or metadata pair whose
+    bytes were decoded before is taken from the memos; its bytes
+    determine its own length, so a piece cut short is never found there.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
     size = len(data)
     if size < 4:
         raise TruncatedFrameError("missing frame length prefix")
@@ -239,28 +303,41 @@ def decode(data: bytes) -> Message:
     if end < 5:
         raise _short()
     kind_byte = data[4]
-    if kind_byte == 0x00:
-        kind, status, pos = KIND_REQUEST, None, 5
-    elif kind_byte == 0x01:
-        if end < 6:
-            raise _short()
-        status = _BYTE_STATUS.get(data[5])
-        if status is None:
-            raise DecodeError(f"unknown status byte 0x{data[5]:02x}")
-        kind, pos = KIND_RESPONSE, 6
-    else:
-        raise UnknownKindError(f"unknown kind byte 0x{kind_byte:02x}")
-    try:
-        if pos + 2 > end:
-            raise _short()
+    pos = 6 if kind_byte == 0x01 else 5
+    # None (never a key) stands for a head too short to read or too long
+    # to remember.
+    raw = None
+    if pos + 2 <= end:
         stop = pos + 2 + _U16.unpack_from(data, pos)[0]
-        if stop > end:
-            raise _short()
-        method = data[pos + 2 : stop].decode("ascii")
-        if not _method_ok(method):
-            raise BadTextError("method contains a comma or newline")
-        if kind_byte == 0x00 and not method:
-            raise DecodeError("request method must be non-empty")
+        if stop - 4 <= _MEMO_PIECE_BYTES:
+            raw = data[4:stop]
+    head = _DECODED_HEADS.get(raw)
+    try:
+        if head is None:
+            if kind_byte == 0x00:
+                kind, status = KIND_REQUEST, None
+            elif kind_byte == 0x01:
+                if end < 6:
+                    raise _short()
+                status = _BYTE_STATUS.get(data[5])
+                if status is None:
+                    raise DecodeError(f"unknown status byte 0x{data[5]:02x}")
+                kind = KIND_RESPONSE
+            else:
+                raise UnknownKindError(f"unknown kind byte 0x{kind_byte:02x}")
+            if pos + 2 > end:
+                raise _short()
+            if stop > end:
+                raise _short()
+            method = data[pos + 2 : stop].decode("ascii")
+            if not _method_ok(method):
+                raise BadTextError("method contains a comma or newline")
+            if kind_byte == 0x00 and not method:
+                raise DecodeError("request method must be non-empty")
+            if raw is not None:
+                _remember(_DECODED_HEADS, raw, (kind, status, method))
+        else:
+            kind, status, method = head
         pos = stop + 10
         if pos > end:
             raise _short()
@@ -272,16 +349,23 @@ def decode(data: bytes) -> Message:
             stop = pos + 2 + _U16.unpack_from(data, pos)[0]
             if stop > end:
                 raise _short()
-            key = data[pos + 2 : stop].decode("ascii")
-            if stop + 2 > end:
+            after = stop + 2 + _U16.unpack_from(data, stop)[0] if stop + 2 <= end else end + 1
+            if after > end:
+                data[pos + 2 : stop].decode("ascii")  # a bad key is reported before the cut
                 raise _short()
-            pos = stop + 2 + _U16.unpack_from(data, stop)[0]
-            if pos > end:
-                raise _short()
-            value = data[stop + 2 : pos].decode("ascii")
-            if not key or key != key.lower():
-                raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
-            metadata.append((key, value))
+            # None (never a key) stands for a pair too long to remember.
+            raw = data[pos:after] if after - pos <= _MEMO_PIECE_BYTES else None
+            pair = _DECODED_PAIRS.get(raw)
+            if pair is None:
+                key = data[pos + 2 : stop].decode("ascii")
+                value = data[stop + 2 : after].decode("ascii")
+                if not key or key != key.lower():
+                    raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
+                pair = (key, value)
+                if raw is not None:
+                    _remember(_DECODED_PAIRS, raw, pair)
+            metadata.append(pair)
+            pos = after
     except UnicodeDecodeError as exc:
         raise BadTextError("method or metadata is not ASCII") from exc
     if pos + 4 > end:
@@ -291,6 +375,4 @@ def decode(data: bytes) -> Message:
         raise _short()
     if stop != end:
         raise DecodeError("declared frame length does not match field contents")
-    return _new(
-        Message, (kind, method, bytes(data[pos + 4 : stop]), tuple(metadata), status, request_id)
-    )
+    return _new(Message, (kind, method, data[pos + 4 : stop], tuple(metadata), status, request_id))

@@ -134,6 +134,13 @@ def test_estimator_config_rejects_bad_text(text, fragment):
         parse_estimator_config(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+def test_estimator_config_refuses_a_bad_housekeeping_window(value):
+    text = f"algorithm=static\nbeta=1\nhousekeeping_after={value}\n"
+    with pytest.raises(ValueError, match="housekeeping_after must be positive and finite"):
+        parse_estimator_config(text)
+
+
 def test_settings_validate_blacklist_up_front():
     with pytest.raises(ValueError):
         EstimatorSettings(StaticTtl(1), blacklist=("mid*dle",))

@@ -1,5 +1,7 @@
 """Estimator sidecar: forwarding, TTL annotation, blacklist, housekeeping."""
 
+import math
+
 import pytest
 
 from meshcache.cache import Cache
@@ -215,6 +217,13 @@ def test_housekeeping_after_must_be_positive():
     clock = VirtualClock()
     with pytest.raises(ValueError):
         make_estimator(StaticTtl(1), clock, housekeeping_after_s=0.0)
+
+
+@pytest.mark.parametrize("after", [math.nan, math.inf])
+def test_housekeeping_after_must_be_finite(after):
+    # Refused by name, not by a failed conversion to nanoseconds.
+    with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
+        make_estimator(StaticTtl(1), VirtualClock(), housekeeping_after_s=after)
 
 
 def test_housekeeping_loop_sweeps_periodically_in_simulation():

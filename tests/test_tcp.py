@@ -1,13 +1,19 @@
 """Framed TCP transport: server lifecycle, link behavior, error paths."""
 
+import errno
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from meshcache import tcp
 from meshcache.clock import NS_PER_MS as MS
 from meshcache.clock import SystemClock
 from meshcache.effects import Call, Sleep, TransportError, drive
@@ -360,3 +366,190 @@ def test_a_shared_link_matches_every_response_under_load():
                 t.join(timeout=30.0)
                 assert not t.is_alive()
     assert mismatches == []
+
+
+def test_one_argument_codec_wrappers_serve_the_loop_and_send(monkeypatch):
+    # bench/tracer.py replaces tcp.encode and tcp.decode with wrappers of
+    # one argument; tcp must call the codec through those globals, so a
+    # traced run both works and counts every frame.
+    calls = {"encode": 0, "decode": 0}
+    real_encode, real_decode = tcp.encode, tcp.decode
+
+    def encode_one(message):
+        calls["encode"] += 1
+        return real_encode(message)
+
+    def decode_one(frame):
+        calls["decode"] += 1
+        return real_decode(frame)
+
+    monkeypatch.setattr(tcp, "encode", encode_one)
+    monkeypatch.setattr(tcp, "decode", decode_one)
+    with serve(echo_handler) as handle, TcpLink(handle.address, timeout_s=5.0) as link:
+        replies = []
+
+        def actor():
+            replies.append((yield from link.exchange(Message.request("Echo", b"loop"))))
+
+        run_actors([actor()])
+        replies.append(link.send(Message.request("Echo", b"send")))
+    assert [r.payload for r in replies] == [b"loop", b"send"]
+    # Each round trip frames a request and a response, and decodes both.
+    assert calls == {"encode": 4, "decode": 4}
+
+
+def _encode_failing_for(monkeypatch, failing_statuses):
+    real_encode = tcp.encode
+
+    def encode(message):
+        if message.status in failing_statuses:
+            raise TypeError("cannot frame this response")
+        return real_encode(message)
+
+    monkeypatch.setattr(tcp, "encode", encode)
+
+
+def test_a_response_that_cannot_be_framed_is_answered_with_an_error(monkeypatch):
+    _encode_failing_for(monkeypatch, {"ok"})
+    with serve(echo_handler) as handle, TcpLink(handle.address, timeout_s=10.0) as link:
+        started = time.monotonic()
+        response = link.send(Message.request("Echo", b"x"))
+        assert time.monotonic() - started < 2.0
+    assert response.status == "error"
+    assert b"TypeError: cannot frame this response" in response.payload
+
+
+def test_a_request_that_cannot_be_answered_closes_the_connection(monkeypatch):
+    # Not even an ERROR frame can be framed: the peer hears of it at once
+    # through a closed connection, not after its 10 s timeout.
+    _encode_failing_for(monkeypatch, {"ok", "error"})
+    with serve(echo_handler) as handle, TcpLink(handle.address, timeout_s=10.0) as link:
+        started = time.monotonic()
+        with pytest.raises(TransportError):
+            link.send(Message.request("Echo", b"x"))
+        failures = []
+
+        def actor():
+            try:
+                yield from link.exchange(Message.request("Echo", b"y"))
+            except TransportError as exc:
+                failures.append(exc)
+
+        run_actors([actor()])
+        assert len(failures) == 1
+        assert time.monotonic() - started < 2.0
+
+
+class _StarvedListener:
+    """A listening socket whose accept() fails with EMFILE while `starved`."""
+
+    def __init__(self):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(8)
+        self.sock.setblocking(False)
+        self.starved = True
+        self.accept_calls = 0
+
+    def fileno(self):
+        return self.sock.fileno()
+
+    def getsockname(self):
+        return self.sock.getsockname()
+
+    def accept(self):
+        self.accept_calls += 1
+        if self.starved:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.sock.accept()
+
+    def close(self):
+        self.sock.close()
+
+
+def test_a_server_starved_by_other_descriptors_retries_without_spinning():
+    # The descriptors are held elsewhere in the process, so no connection
+    # of this server closes to wake it: it retries on a timer.
+    listener = _StarvedListener()
+    loop = tcp._the_loop()
+    handle = tcp.ServerHandle(loop, listener, echo_handler)
+    loop.hand_in(handle._open)
+    with handle, socket.create_connection(handle.address, timeout=5.0) as sock:
+        sock.sendall(encode(Message.request("Echo", b"starved")))
+        time.sleep(0.5)
+        # A spinning loop would have called accept() thousands of times.
+        assert 1 <= listener.accept_calls <= 10
+        listener.starved = False
+        started = time.monotonic()
+        reader, frames = _FrameReader(), []
+        while not frames:
+            frames = reader.feed(sock.recv(65536))
+        assert time.monotonic() - started < 1.0
+        assert decode(frames[0]).payload == b"starved"
+
+
+# A child process serving echo with its own descriptor limit lowered.
+_LIMITED_SERVER = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from meshcache.tcp import serve
+from meshcache.wire import Message
+handle = serve(lambda request: Message.response(request.method, request.payload))
+print(handle.address[1], flush=True)
+sys.stdin.read()
+"""
+
+
+def _cpu_ticks(pid):
+    """User plus system clock ticks the process has used."""
+    with open(f"/proc/{pid}/stat") as f:
+        fields = f.read().rpartition(")")[2].split()
+    return int(fields[11]) + int(fields[12])
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads CPU time from /proc")
+def test_a_server_out_of_descriptors_waits_and_accepts_again():
+    limit, clients_n = 40, 40
+    env = dict(os.environ)
+    src = str(Path(tcp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LIMITED_SERVER.format(limit=limit)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    clients = []
+    try:
+        port = int(child.stdout.readline())
+        # The child holds a few descriptors of its own, so it can accept
+        # fewer than `limit` connections; the last ones stay queued.
+        clients = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(clients_n)]
+        last = clients[-1]
+        last.sendall(encode(Message.request("Echo", b"late")))
+        last.settimeout(0.5)
+        with pytest.raises(socket.timeout):
+            last.recv(1)  # not accepted: the child is at its limit
+        before = _cpu_ticks(child.pid)
+        time.sleep(1.0)
+        used = _cpu_ticks(child.pid) - before
+        # A loop spinning on the readable listener would use about a
+        # second of CPU here.
+        assert used < 0.25 * os.sysconf("SC_CLK_TCK"), used
+        for sock in clients[:20]:
+            sock.close()
+        last.settimeout(5.0)
+        reader, frames = _FrameReader(), []
+        while not frames:
+            data = last.recv(65536)
+            assert data, "the child closed the queued connection"
+            frames = reader.feed(data)
+        assert decode(frames[0]).payload == b"late"
+    finally:
+        for sock in clients:
+            sock.close()
+        child.stdin.close()
+        try:
+            child.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+        child.stdout.close()

@@ -1,0 +1,120 @@
+"""The codec's memos: bounded in entries and piece size, and never visible.
+
+encode() and decode() remember checked heads and metadata. These tests
+run more distinct methods and metadata than a memo holds, so pieces are
+evicted and remembered again, and require the same frames, messages and
+exception classes as tests/reference_wire.py throughout.
+"""
+
+import random
+
+import pytest
+import reference_wire
+from meshcache import wire
+from meshcache.wire import DecodeError, EncodeError, Message, decode, encode
+from test_wire_equivalence import outcome
+
+MEMOS = (
+    wire._ENCODED_HEADS,
+    wire._ENCODED_METADATA,
+    wire._DECODED_HEADS,
+    wire._DECODED_PAIRS,
+)
+
+
+def assert_memos_bounded():
+    for memo in MEMOS:
+        assert len(memo) <= wire._MEMO_ENTRIES
+    for memo in (wire._ENCODED_HEADS, wire._ENCODED_METADATA):
+        assert all(len(piece) <= wire._MEMO_PIECE_BYTES for piece in memo.values())
+    for memo in (wire._DECODED_HEADS, wire._DECODED_PAIRS):
+        assert all(len(key) <= wire._MEMO_PIECE_BYTES for key in memo)
+
+
+def test_the_codec_agrees_with_the_reference_past_the_memo_bound():
+    rng = random.Random(13)
+    distinct = 3 * wire._MEMO_ENTRIES
+    methods = [f"Method{i}" for i in range(distinct)]
+    metadata = [(("cache-control", f"max-age={i}"),) for i in range(distinct)]
+    # A few long-lived pieces recur among the many, as a sidecar's would.
+    messages = []
+    for i in range(4 * distinct):
+        n = i if i < distinct else rng.randrange(distinct)
+        if rng.random() < 0.3:
+            n = rng.randrange(4)
+        if rng.random() < 0.5:
+            messages.append(Message.request(methods[n], b"k%d" % i, request_id=i))
+        else:
+            status = rng.choice(["ok", "error"])
+            messages.append(
+                Message.response(methods[n], b"v", metadata[n], status=status, request_id=i)
+            )
+    cleared = 0
+    for message in messages:
+        before = len(wire._ENCODED_HEADS)
+        frame = encode(message)
+        cleared += len(wire._ENCODED_HEADS) < before
+        assert frame == reference_wire.encode(message)
+        assert decode(frame) == message == reference_wire.decode(frame)
+        # A memo hit must not hide a broken field beside it.
+        broken = message._replace(request_id=-1)
+        assert outcome(encode, broken) is EncodeError
+        cut = frame[:-1]
+        assert outcome(decode, cut) == outcome(reference_wire.decode, cut)
+        assert_memos_bounded()
+    assert cleared > 0, "no memo reached its bound"
+
+
+def test_pieces_longer_than_the_bound_are_decoded_but_not_remembered():
+    # A value is at most 65535 bytes long (u16 length), so the metadata
+    # here is 17 of the longest values: over 1 MiB in all.
+    long_value = "v" * 0xFFFF
+    metadata = tuple((f"x-long-{i}", long_value) for i in range(17))
+    message = Message.response("M" * 300, b"payload", metadata, request_id=5)
+    frame = encode(message)
+    assert len(frame) > 1024 * 1024
+    assert frame == reference_wire.encode(message)
+    assert decode(frame) == message == reference_wire.decode(frame)
+    assert metadata not in wire._ENCODED_METADATA
+    assert ("response", "ok", "M" * 300) not in wire._ENCODED_HEADS
+    for memo in MEMOS:
+        assert long_value not in repr(list(memo.items()))
+    assert_memos_bounded()
+
+
+def test_a_piece_of_exactly_the_bound_is_remembered_and_one_byte_more_is_not():
+    bound = wire._MEMO_PIECE_BYTES
+
+    def pair_of(size):
+        # One pair's bytes: 2 + key + 2 + value.
+        return (("k", "v" * (size - 5)),)
+
+    def frame_of(pairs):
+        return encode(Message.response("M", b"", pairs))
+
+    # The encoded metadata piece holds the 2-byte pair count too.
+    frame_of(pair_of(bound - 2))
+    assert pair_of(bound - 2) in wire._ENCODED_METADATA
+    frame_of(pair_of(bound - 1))
+    assert pair_of(bound - 1) not in wire._ENCODED_METADATA
+    for size, kept in ((bound, True), (bound + 1, False)):
+        frame = frame_of(pair_of(size))
+        assert decode(frame).metadata == pair_of(size)
+        pair_at = 4 + 2 + 2 + 1 + 8 + 2  # prefix, kind and status, method, id, count
+        assert (frame[pair_at : pair_at + size] in wire._DECODED_PAIRS) is kept
+
+
+def test_unhashable_fields_are_checked_and_encoded_without_being_remembered():
+    listed = Message("response", "M", b"", [["k", "v"]], "ok", 1)
+    assert encode(listed) == reference_wire.encode(listed)
+    assert outcome(encode, listed._replace(metadata=[["K", "v"]])) is EncodeError
+    assert outcome(encode, listed._replace(method=["M"])) == outcome(
+        reference_wire.encode, listed._replace(method=["M"])
+    )
+
+
+def test_a_byte_array_decodes_as_its_bytes():
+    frame = encode(Message.response("M", b"x", (("k", "v"),), request_id=3))
+    assert decode(bytearray(frame)) == decode(frame) == reference_wire.decode(bytearray(frame))
+    with pytest.raises(DecodeError):
+        decode(bytearray(frame[:-1]))
