@@ -127,10 +127,9 @@ class Cache:
                 self._insertions += 1
         return response
 
-    def expire_scan(self, now_ns: int | None = None) -> int:
+    def expire_scan(self) -> int:
         """Drop every entry with expires_at <= now; returns how many."""
-        if now_ns is None:
-            now_ns = self._clock.now_ns()
+        now_ns = self._clock.now_ns()
         dead = [k for k, e in self._store.items() if e.expires_at_ns <= now_ns]
         for k in dead:
             del self._store[k]

@@ -1,10 +1,10 @@
 """Named experiment configurations and flat-file config codecs.
 
 Config IDs name an estimation algorithm plus its parameter, e.g.
-"static-10", "adaptive-0.25", "updaterisk-0.90". The twelve IDs used by
-the evaluation suite are predefined; any other "<family>-<number>" string
-parses generically. A "dynamic-" prefix on the adaptive/updaterisk
-families is accepted as an alias and normalized away.
+"static-10", "adaptive-0.25", "updaterisk-0.90": every "<family>-<number>"
+string parses the same way. CONFIG_IDS names the evaluation suite's
+twelve ids in the order results are reported. A "dynamic-" prefix on the
+adaptive/updaterisk families is accepted as an alias and normalized away.
 
 Two flat text formats live here as well: the estimator sidecar's
 key=value config file (written by the harness, read back when the
@@ -24,20 +24,20 @@ from .estimator import (
 from .ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
 from .workload import PHASE_SHIFTS, WorkloadConfig
 
-CONFIG_IDS: dict[str, AlgorithmConfig] = {
-    "static-0": StaticTtl(0),
-    "static-1": StaticTtl(1),
-    "static-10": StaticTtl(10),
-    "static-30": StaticTtl(30),
-    "adaptive-0.1": AdaptiveTtl(0.1),
-    "adaptive-0.25": AdaptiveTtl(0.25),
-    "adaptive-0.5": AdaptiveTtl(0.5),
-    "updaterisk-0.1": UpdateRiskTtl(0.1),
-    "updaterisk-0.25": UpdateRiskTtl(0.25),
-    "updaterisk-0.5": UpdateRiskTtl(0.5),
-    "updaterisk-0.75": UpdateRiskTtl(0.75),
-    "updaterisk-0.90": UpdateRiskTtl(0.90),
-}
+CONFIG_IDS = (
+    "static-0",
+    "static-1",
+    "static-10",
+    "static-30",
+    "adaptive-0.1",
+    "adaptive-0.25",
+    "adaptive-0.5",
+    "updaterisk-0.1",
+    "updaterisk-0.25",
+    "updaterisk-0.5",
+    "updaterisk-0.75",
+    "updaterisk-0.90",
+)
 
 DEFAULT_SEEDS = (1, 2, 3)
 
@@ -51,8 +51,6 @@ def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
     name = config_id.strip()
     if name.startswith("dynamic-"):
         name = name[len("dynamic-") :]
-    if name in CONFIG_IDS:
-        return name, CONFIG_IDS[name]
     family, sep, param = name.partition("-")
     if not sep or not param:
         raise ValueError(f"config id {config_id!r} is not <family>-<parameter>")
@@ -69,12 +67,11 @@ def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
 
 
 def canonical_order(config_id: str) -> tuple[int, str]:
-    """Sort key: predefined ids in table order, then the rest by name."""
+    """Sort key: the suite's ids in CONFIG_IDS order, then the rest by name."""
     canonical, _ = parse_config_id(config_id)
-    ids = list(CONFIG_IDS)
-    if canonical in ids:
-        return ids.index(canonical), canonical
-    return len(ids), canonical
+    if canonical in CONFIG_IDS:
+        return CONFIG_IDS.index(canonical), canonical
+    return len(CONFIG_IDS), canonical
 
 
 def algorithm_parameter(algorithm: AlgorithmConfig) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Generator, Iterable
 
-from .clock import Clock, seconds_to_ns
+from .clock import NS_PER_S, Clock, seconds_to_ns
 from .digests import response_digest
 from .effects import Link, Sleep
 from .eventlog import EventLog
@@ -57,9 +57,9 @@ def validate_blacklist(patterns: Iterable[str]) -> tuple[str, ...]:
 
 
 def validate_housekeeping_after(seconds: float, field: str = "housekeeping_after_s") -> float:
-    """Check a housekeeping window up front: positive and finite seconds."""
-    if not (seconds > 0 and math.isfinite(seconds)):
-        raise ValueError(f"{field} must be positive and finite, got {seconds}")
+    """Check a housekeeping window up front: positive, and finite in nanoseconds."""
+    if not (seconds > 0 and math.isfinite(seconds * NS_PER_S)):
+        raise ValueError(f"{field} must be positive and finite in nanoseconds, got {seconds}")
     return seconds
 
 
@@ -126,10 +126,9 @@ class Estimator:
             self._log.record(now_ns, "estimator", request.method, "estimate", ttl_text)
         return response.with_metadata("cache-control", "max-age=" + ttl_text)
 
-    def housekeeping_sweep(self, now_ns: int | None = None) -> int:
+    def housekeeping_sweep(self) -> int:
         """Evict entries idle longer than the housekeeping window."""
-        if now_ns is None:
-            now_ns = self._clock.now_ns()
+        now_ns = self._clock.now_ns()
         stale = [
             key
             for key, history in self._table.items()

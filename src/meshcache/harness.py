@@ -90,8 +90,6 @@ class ExperimentConfig:
     seed: int = 1
     duration_s: float = 300.0
     clock_mode: str = "virtual"
-    period_s: float | None = None  # None: period follows duration
-    blacklist: tuple[str, ...] = ()
     housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S
     max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP  # None: no cap
     updates_via_cache: bool = False
@@ -106,29 +104,25 @@ class ExperimentConfig:
                 f"link_latency_s must be non-negative and finite, got {self.link_latency_s}"
             )
         validate_housekeeping_after(self.housekeeping_after_s)
-        self.workload()  # checks phase, duration, seed and period
+        self.workload()  # checks phase, duration and seed
 
     def workload(self) -> WorkloadConfig:
         # Built in two steps so that the duration is checked before the
-        # sinusoids, whose period follows it unless pinned.
+        # sinusoids, whose period is the duration.
         workload = WorkloadConfig(
             duration_s=self.duration_s, seed=self.seed, phase_tag=self.phase_tag
         )
-        period = self.period_s if self.period_s is not None else self.duration_s
         return replace(
             workload,
-            query=replace(QUERY_SINUSOID, period_s=period),
-            update=replace(UPDATE_SINUSOID, period_s=period),
+            query=replace(QUERY_SINUSOID, period_s=self.duration_s),
+            update=replace(UPDATE_SINUSOID, period_s=self.duration_s),
         )
 
     def estimator_settings(self) -> EstimatorSettings:
         _, algorithm = parse_config_id(self.config_id)
-        blacklist = self.blacklist
-        if self.updates_via_cache and SET_METHOD not in blacklist:
-            blacklist = blacklist + (SET_METHOD,)
         return EstimatorSettings(
             algorithm,
-            blacklist=blacklist,
+            blacklist=(SET_METHOD,) if self.updates_via_cache else (),
             housekeeping_after_s=self.housekeeping_after_s,
             max_ttl_cap=self.max_ttl_cap,
         )
@@ -554,7 +548,6 @@ def run_suite(
     duration_s: float,
     out_dir: str | Path,
     clock_mode: str = "virtual",
-    period_s: float | None = None,
 ) -> SuiteOutcome:
     """Run the cross product and write per-run dirs plus scatter.csv."""
     out_path = Path(out_dir)
@@ -573,7 +566,6 @@ def run_suite(
                         seed=seed,
                         duration_s=duration_s,
                         clock_mode=clock_mode,
-                        period_s=period_s,
                     )
                     results.append(
                         run_experiment(cfg, run_dir(out_path, config_id, phase, seed))

@@ -132,8 +132,8 @@ class VirtualLink:
 class Simulation:
     """Event loop, clock, and task spawner for one virtual-time run."""
 
-    def __init__(self, start_ns: int = 0) -> None:
-        self.clock = VirtualClock(start_ns)
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         # The horizon of the run() in progress; tasks resume in place only

@@ -106,15 +106,18 @@ def _read_response(frame: bytes, in_flight: dict[int, Any]) -> tuple[Message, An
 
 
 class _Loop:
-    """The process's selector loop: timers, sockets, and hand-ins from other threads."""
+    """The process's selector loop: timers, sockets, and callbacks handed in.
+
+    Callbacks wait in one deque, which any thread may append to (a deque
+    append is atomic). A thread other than the loop's also writes a byte
+    to the wake pipe, so that a loop blocked in select() turns.
+    """
 
     def __init__(self) -> None:
         self.selector = selectors.DefaultSelector()
         self._timers: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._ready: deque[Callable[[], None]] = deque()
-        # Other threads append here and write one byte to the pipe.
-        self._handed_in: deque[Callable[[], None]] = deque()
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -128,16 +131,11 @@ class _Loop:
     def call_at(self, deadline_ns: int, fn: Callable[[], None]) -> None:
         heapq.heappush(self._timers, (deadline_ns, next(self._seq), fn))
 
-    def soon(self, fn: Callable[[], None]) -> None:
-        """Run fn on the loop's next turn (loop thread only)."""
-        self._ready.append(fn)
-
     def hand_in(self, fn: Callable[[], None]) -> None:
-        """Run fn on the loop; callable from any thread."""
+        """Run fn on the loop's next turn; callable from any thread."""
+        self._ready.append(fn)
         if self.on_loop_thread():
-            self._ready.append(fn)
             return
-        self._handed_in.append(fn)
         try:
             os.write(self._wake_w, b"\0")
         except BlockingIOError:
@@ -170,9 +168,6 @@ class _Loop:
                 pass
         except BlockingIOError:
             pass
-        handed_in = self._handed_in
-        while handed_in:
-            self._ready.append(handed_in.popleft())
 
     def _run(self) -> None:
         select = self.selector.select
@@ -254,7 +249,7 @@ class _Task:
 
     def fail_later(self, error: BaseException) -> None:
         """Throw error into the task on the loop's next turn, not from inside the caller."""
-        self._loop.soon(partial(self.step, None, error))
+        self._loop.hand_in(partial(self.step, None, error))
 
     def cancel(self) -> None:
         gen, self._gen = self._gen, None

@@ -54,8 +54,8 @@ class AdaptiveTtl:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,12 @@ def observe(history: ObservationHistory, now_ns: int, digest: bytes) -> Observat
 
 
 def _clamp(value: float, max_ttl_cap: int | None) -> int:
-    ttl = math.floor(value)
-    if ttl < 0:
-        return 0
-    if max_ttl_cap is not None and ttl > max_ttl_cap:
+    # Capped before it is floored, so an estimate that overflowed to inf
+    # still yields the cap.
+    if max_ttl_cap is not None and value >= max_ttl_cap:
         return max_ttl_cap
-    return ttl
+    ttl = math.floor(value)
+    return ttl if ttl > 0 else 0
 
 
 def estimate_static(

@@ -51,6 +51,16 @@ def test_run_rejects_unknown_config(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_run_refuses_an_alpha_that_is_not_finite(tmp_path, capsys, alpha):
+    # Refused before the run: with such an alpha every estimate would fail.
+    code = main(["run", "--config-id", f"adaptive-{alpha}", "--duration-s", "5",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "bad config: config id" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_suite_runs_a_matrix(tmp_path, capsys):
     matrix = tmp_path / "matrix.txt"
     matrix.write_text("static-1\nphases=0,pi\nseeds=1\nduration_s=5\n")
@@ -114,7 +124,7 @@ def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
 @pytest.mark.parametrize(
     "field, value",
     [("link_latency_s", v) for v in (-1.0, math.nan, math.inf)]
-    + [("housekeeping_after_s", v) for v in (0.0, math.nan, math.inf)],
+    + [("housekeeping_after_s", v) for v in (0.0, math.nan, math.inf, 1e300)],
 )
 def test_run_rejects_a_bad_latency_or_housekeeping_value(
     tmp_path, capsys, monkeypatch, field, value

@@ -38,14 +38,27 @@ def test_the_twelve_predefined_ids():
     assert DEFAULT_SEEDS == (1, 2, 3)
 
 
-def test_parse_predefined_ids():
-    name, algo = parse_config_id("static-10")
-    assert name == "static-10" and algo == StaticTtl(10)
-    name, algo = parse_config_id("adaptive-0.25")
-    assert algo == AdaptiveTtl(0.25)
-    name, algo = parse_config_id("updaterisk-0.90")
-    assert algo == UpdateRiskTtl(0.90)
-    assert algo.k == 2
+# The algorithm each suite id stands for, written out independently of
+# the parser.
+SUITE_ALGORITHMS = {
+    "static-0": StaticTtl(0),
+    "static-1": StaticTtl(1),
+    "static-10": StaticTtl(10),
+    "static-30": StaticTtl(30),
+    "adaptive-0.1": AdaptiveTtl(0.1),
+    "adaptive-0.25": AdaptiveTtl(0.25),
+    "adaptive-0.5": AdaptiveTtl(0.5),
+    "updaterisk-0.1": UpdateRiskTtl(0.1),
+    "updaterisk-0.25": UpdateRiskTtl(0.25),
+    "updaterisk-0.5": UpdateRiskTtl(0.5),
+    "updaterisk-0.75": UpdateRiskTtl(0.75),
+    "updaterisk-0.90": UpdateRiskTtl(0.90, k=2),
+}
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_parse_predefined_ids(config_id):
+    assert parse_config_id(config_id) == (config_id, SUITE_ALGORITHMS[config_id])
 
 
 def test_dynamic_prefix_is_normalized_away():
@@ -60,7 +73,11 @@ def test_generic_family_parameter_ids_parse():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "static", "static-", "nosuch-1", "adaptive-zero", "static--3", "adaptive-0"]
+    "bad",
+    [
+        "", "static", "static-", "nosuch-1", "adaptive-zero", "static--3", "adaptive-0",
+        "adaptive-inf", "adaptive-nan",
+    ],
 )
 def test_unusable_ids_raise(bad):
     with pytest.raises(ValueError):
@@ -134,7 +151,7 @@ def test_estimator_config_rejects_bad_text(text, fragment):
         parse_estimator_config(text)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "1e300"])
 def test_estimator_config_refuses_a_bad_housekeeping_window(value):
     text = f"algorithm=static\nbeta=1\nhousekeeping_after={value}\n"
     with pytest.raises(ValueError, match="housekeeping_after must be positive and finite"):

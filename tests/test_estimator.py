@@ -219,7 +219,7 @@ def test_housekeeping_after_must_be_positive():
         make_estimator(StaticTtl(1), clock, housekeeping_after_s=0.0)
 
 
-@pytest.mark.parametrize("after", [math.nan, math.inf])
+@pytest.mark.parametrize("after", [math.nan, math.inf, 1e300])
 def test_housekeeping_after_must_be_finite(after):
     # Refused by name, not by a failed conversion to nanoseconds.
     with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):

@@ -163,6 +163,12 @@ def test_adaptive_clamps_to_cap():
     assert estimate_adaptive(AdaptiveTtl(1.0), h, 500 * NS_PER_S, max_ttl_cap=None) == 500
 
 
+def test_adaptive_caps_an_estimate_that_overflows():
+    # 10 s * 1e308 is inf as a float; the cap applies before any flooring.
+    h = history_with_changes(1, [0.0])
+    assert estimate(AdaptiveTtl(1e308), h, 10 * NS_PER_S) == DEFAULT_MAX_TTL_CAP
+
+
 # --- update risk ---
 
 
