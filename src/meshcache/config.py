@@ -20,6 +20,7 @@ from .estimator import (
     DEFAULT_HOUSEKEEPING_AFTER_S,
     validate_blacklist,
     validate_housekeeping_after,
+    validate_max_ttl_cap,
 )
 from .ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
 from .workload import PHASE_SHIFTS, WorkloadConfig
@@ -148,7 +149,13 @@ def parse_estimator_config(text: str) -> EstimatorSettings:
         "housekeeping_after",
     )
     raw_cap = values.pop("max_ttl_cap", str(DEFAULT_MAX_TTL_CAP))
-    cap = None if raw_cap.lower() == "none" else int(raw_cap)
+    try:
+        cap = None if raw_cap.lower() == "none" else int(raw_cap)
+    except ValueError:
+        raise ValueError(
+            f"max_ttl_cap must be a non-negative integer or none, got {raw_cap!r}"
+        ) from None
+    validate_max_ttl_cap(cap)
     if values:
         raise ValueError(f"unknown keys: {sorted(values)}")
     return EstimatorSettings(algorithm, blacklist, housekeeping, cap)

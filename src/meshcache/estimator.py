@@ -16,13 +16,19 @@ tuple, as the cache's store is; only the response body is digested.
 
 A housekeeping sweep drops entries idle longer than housekeeping_after
 so the table tracks only recently requested keys.
+
+The TTL's text and its "max-age=N" value come from one bounded memo, so
+responses with equal TTLs share one string in the event log's rows and
+in the cache's stored responses instead of each building its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Generator, Iterable
+from functools import lru_cache
 
+from .cache import MAX_AGE_CACHE_SIZE
 from .clock import NS_PER_S, Clock, seconds_to_ns
 from .digests import response_digest
 from .effects import Link, Sleep
@@ -63,6 +69,20 @@ def validate_housekeeping_after(seconds: float, field: str = "housekeeping_after
     return seconds
 
 
+def validate_max_ttl_cap(cap: int | None) -> int | None:
+    """Check a TTL cap up front: None (no cap) or an integer >= 0 (0: never cache)."""
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+        raise ValueError(f"max_ttl_cap must be a non-negative integer or None, got {cap!r}")
+    return cap
+
+
+@lru_cache(maxsize=MAX_AGE_CACHE_SIZE)
+def ttl_texts(ttl: int) -> tuple[str, str]:
+    """The TTL as text and as its cache-control value, shared per TTL."""
+    text = str(ttl)
+    return text, "max-age=" + text
+
+
 def blacklist_matches(patterns: Iterable[str], method: str) -> bool:
     for pattern in patterns:
         if pattern.endswith("*"):
@@ -87,6 +107,7 @@ class Estimator:
         max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
     ) -> None:
         validate_housekeeping_after(housekeeping_after_s)
+        validate_max_ttl_cap(max_ttl_cap)
         self._algorithm = algorithm
         self._upstream = upstream
         self._clock = clock
@@ -121,10 +142,10 @@ class Estimator:
         now_ns = self._clock.now_ns()
         history = self._table[key] = observe(history, now_ns, digest)
         ttl = estimate(self._algorithm, history, now_ns, self._max_ttl_cap)
-        ttl_text = str(ttl)
+        ttl_text, max_age = ttl_texts(ttl)
         if self._log is not None:
             self._log.record(now_ns, "estimator", request.method, "estimate", ttl_text)
-        return response.with_metadata("cache-control", "max-age=" + ttl_text)
+        return response.with_metadata("cache-control", max_age)
 
     def housekeeping_sweep(self) -> int:
         """Evict entries idle longer than the housekeeping window."""

@@ -5,25 +5,32 @@ Row format, one event per line:
     <nanos>,<component>,<method>,<event>,<value>
 
 value may be empty (cache hit/miss rows leave it blank). A row is an
-EventRow, a named tuple, but the log keeps each one as the plain tuple of
-its fields: it holds one per event, and a plain tuple of ints and strings
-is cheaper to build and is soon untracked by the cyclic garbage
-collector, which would otherwise traverse every row again and again.
-rows() hands the rows out as EventRows; iterating the log yields the
-plain tuples, for a fold that unpacks them by position. The log is a
-plain in-memory list with no lock: both backends run every component
-that records on one thread (the virtual scheduler's, or the TCP
-backend's loop), and callers read the rows once the run has ended.
+EventRow, a named tuple, but the log keeps no object per row: it holds
+one flat list with five slots per row, the row's fields in order. A run
+records one row per event, and a flat list costs five references a row
+where a tuple per row costs a tuple header as well. It also leaves the
+cyclic garbage collector nothing per row to track: the rows' fields are
+ints and strings, which it never traverses. rows() hands the rows out as
+EventRows; iterating the log yields the plain tuple of each row's
+fields, for a fold that unpacks them by position. The log has no lock:
+both backends run every component that records on one thread (the
+virtual scheduler's, or the TCP backend's loop), and callers read the
+rows once the run has ended.
 
 Rows stay in record order, which is timestamp order: every component
 stamps a row with a read of the run's one monotonic clock made just
 before it records, on that one thread, so no row can carry an earlier
 time than one recorded before it. rows(), iteration and render() hand
 them out as recorded, with no sort.
+
+write_to() formats and writes WRITE_BLOCK_ROWS rows at a time, so writing
+a log holds one block's text at once, not the whole file's; render()
+joins the same blocks.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 
@@ -38,15 +45,20 @@ class EventRow(NamedTuple):
 # constructor's argument handling.
 _new = tuple.__new__
 
-# What the log keeps per row: the plain tuple of an EventRow's fields.
+# The plain tuple of an EventRow's fields, as iterating the log yields it.
 RowFields = tuple[int, str, str, str, str]
+
+# Rows formatted and written per block: about 150 KB of text at the
+# harness's row widths.
+WRITE_BLOCK_ROWS = 4096
 
 
 class EventLog:
     """In-memory event sink."""
 
     def __init__(self) -> None:
-        self._rows: list[RowFields] = []
+        # Five slots per row: timestamp_ns, component, method, event, value.
+        self._rows: list[int | str] = []
 
     def record(
         self,
@@ -56,24 +68,32 @@ class EventLog:
         event: str,
         value: str = "",
     ) -> None:
-        self._rows.append((timestamp_ns, component, method, event, value))
+        self._rows += (timestamp_ns, component, method, event, value)
 
     def rows(self) -> list[EventRow]:
-        return [_new(EventRow, row) for row in self._rows]
+        return [_new(EventRow, row) for row in self]
 
     def __iter__(self) -> Iterator[RowFields]:
-        return iter(self._rows)
+        fields = iter(self._rows)
+        return zip(fields, fields, fields, fields, fields)
+
+    def _blocks(self) -> Iterator[str]:
+        """CSV text of up to WRITE_BLOCK_ROWS rows at a time, in record order."""
+        rows = iter(self)
+        while block := "".join([
+            f"{ts},{component},{method},{event},{value}\n"
+            for ts, component, method, event, value in islice(rows, WRITE_BLOCK_ROWS)
+        ]):
+            yield block
 
     def render(self) -> str:
         """Whole log as CSV text, one line per row in record order."""
-        return "".join([
-            f"{ts},{component},{method},{event},{value}\n"
-            for ts, component, method, event, value in self._rows
-        ])
+        return "".join(self._blocks())
 
     def write_to(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.render())
+            for block in self._blocks():
+                fh.write(block)
 
 
 def parse_event_row(line: str, row_number: int) -> EventRow:

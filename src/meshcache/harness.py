@@ -58,6 +58,7 @@ from .estimator import (
     Estimator,
     housekeeping_loop,
     validate_housekeeping_after,
+    validate_max_ttl_cap,
 )
 from .eventlog import EventLog, EventRow, RowFields, parse_event_log
 from .sim import Simulation
@@ -104,6 +105,7 @@ class ExperimentConfig:
                 f"link_latency_s must be non-negative and finite, got {self.link_latency_s}"
             )
         validate_housekeeping_after(self.housekeeping_after_s)
+        validate_max_ttl_cap(self.max_ttl_cap)
         self.workload()  # checks phase, duration and seed
 
     def workload(self) -> WorkloadConfig:

@@ -41,7 +41,10 @@ hop leg that may resume in place advances the clock without yielding, so
 it does not suspend the caller's `yield from` chain; otherwise it yields
 its Sleep to the task, which pushes the wake-up. Either way the rule is
 the one above, so every order and output is the same. Driven outside
-run(), a link yields every leg.
+run(), a link yields every leg. A zero-latency leg that resumes in place
+leaves the clock's time object as it is: storing now + 0 would put an
+equal but new int there, so every row of one request would carry its own
+copy of the timestamp.
 
 A run's tasks hold the simulation through their links while the heap
 holds the tasks still queued, so a simulation left with queued tasks is a
@@ -107,11 +110,12 @@ class VirtualLink:
 
     def exchange(self, request: Message) -> Generator:
         clock = self._clock
-        t_ns = clock._now_ns + self._latency_ns
-        if t_ns <= self._sim._resume_until_ns:
-            clock._now_ns = t_ns
-        else:
+        latency_ns = self._latency_ns
+        t_ns = clock._now_ns + latency_ns
+        if t_ns > self._sim._resume_until_ns:
             yield self._latency
+        elif latency_ns:
+            clock._now_ns = t_ns
         try:
             response = self._handler(request)
             if isinstance(response, GeneratorType):
@@ -121,11 +125,11 @@ class VirtualLink:
         else:
             if not isinstance(response, Message) or response.kind == KIND_REQUEST:
                 response = handler_failure(request)
-        t_ns = clock._now_ns + self._latency_ns
-        if t_ns <= self._sim._resume_until_ns:
-            clock._now_ns = t_ns
-        else:
+        t_ns = clock._now_ns + latency_ns
+        if t_ns > self._sim._resume_until_ns:
             yield self._latency
+        elif latency_ns:
+            clock._now_ns = t_ns
         return response
 
 

@@ -158,6 +158,19 @@ def test_estimator_config_refuses_a_bad_housekeeping_window(value):
         parse_estimator_config(text)
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "ten", ""])
+def test_estimator_config_refuses_a_bad_ttl_cap_by_name(value):
+    text = f"algorithm=adaptive\nalpha=0.5\nmax_ttl_cap={value}\n"
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        parse_estimator_config(text)
+
+
+@pytest.mark.parametrize("value, cap", [("0", 0), ("none", None), ("None", None)])
+def test_estimator_config_keeps_a_zero_or_absent_ttl_cap(value, cap):
+    text = f"algorithm=adaptive\nalpha=0.5\nmax_ttl_cap={value}\n"
+    assert parse_estimator_config(text).max_ttl_cap == cap
+
+
 def test_settings_validate_blacklist_up_front():
     with pytest.raises(ValueError):
         EstimatorSettings(StaticTtl(1), blacklist=("mid*dle",))

@@ -12,6 +12,7 @@ from meshcache.estimator import (
     Estimator,
     blacklist_matches,
     housekeeping_loop,
+    ttl_texts,
     validate_blacklist,
 )
 from meshcache.eventlog import EventLog
@@ -131,6 +132,48 @@ def test_cap_applies_to_dynamic_estimates():
     call(est, clock)
     clock.advance_to(100 * NS_PER_S)
     assert call(est, clock).metadata_value("cache-control") == "max-age=8"
+
+
+@pytest.mark.parametrize("cap", [-1, -30, 2.0, "8", False])
+def test_estimator_refuses_a_bad_cap_by_name(cap):
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        make_estimator(AdaptiveTtl(1.0), VirtualClock(), max_ttl_cap=cap)
+
+
+def test_cap_zero_means_never_cache():
+    clock = VirtualClock()
+    est, _, _ = make_estimator(AdaptiveTtl(1.0), clock, max_ttl_cap=0)
+    call(est, clock)
+    clock.advance_to(100 * NS_PER_S)
+    assert call(est, clock).metadata_value("cache-control") == "max-age=0"
+
+
+def test_equal_ttls_share_one_text():
+    clock = VirtualClock()
+    est, _, log = make_estimator(StaticTtl(17), clock)
+    first = call(est, clock).metadata_value("cache-control")
+    clock.advance_to(NS_PER_S)
+    second = call(est, clock).metadata_value("cache-control")
+    a, b = [row.value for row in log.rows()]
+    assert a == "17" and a is b
+    assert first == "max-age=17" and first is second
+
+
+@pytest.mark.parametrize("ttl", [*range(31), 10**12])
+def test_ttl_texts_match_the_plain_formatting(ttl):
+    assert ttl_texts(ttl) == (str(ttl), "max-age=" + str(ttl))
+
+
+def test_uncapped_estimates_carry_their_ttl_text():
+    clock = VirtualClock()
+    est, _, _ = make_estimator(AdaptiveTtl(1.0), clock, max_ttl_cap=None)
+    call(est, clock)
+    clock.advance_to(10**6 * NS_PER_S)
+    assert call(est, clock).metadata_value("cache-control") == "max-age=1000000"
+
+
+def test_ttl_text_memo_is_bounded():
+    assert 0 < ttl_texts.cache_info().maxsize < 10**6
 
 
 def test_distinct_request_payloads_are_distinct_keys():

@@ -168,6 +168,17 @@ def test_experiment_config_validation():
             ExperimentConfig(config_id="static-1", housekeeping_after_s=after)
 
 
+@pytest.mark.parametrize("cap", [-1, 1.5, "5", True])
+def test_experiment_config_refuses_a_bad_ttl_cap_by_name(cap):
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=cap)
+
+
+def test_experiment_config_keeps_a_zero_or_absent_ttl_cap():
+    assert ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=0).max_ttl_cap == 0
+    assert ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=None).max_ttl_cap is None
+
+
 def test_workload_period_follows_duration():
     workload = ExperimentConfig(config_id="static-1", duration_s=120.0).workload()
     assert workload.query.period_s == workload.update.period_s == 120.0
@@ -561,6 +572,13 @@ def test_scripted_trace_honors_the_cap():
     expected = replay_trace([(0.0, "query"), (100.0, "query")], "adaptive-0.5", cap=3)
     assert as_tuples(rows) == expected
     assert [r.value for r in rows if r.event == "estimate"] == ["0", "3"]
+
+
+def test_scripted_trace_refuses_a_negative_cap():
+    # A cap of -1 would stamp max-age=-1, which the cache reads as
+    # malformed, so caching would silently stop.
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        run_scripted_trace([ScriptedOp(0.0, "query")], "adaptive-0.5", max_ttl_cap=-1)
 
 
 def test_scripted_op_validation():
