@@ -13,12 +13,10 @@ from .cache import Cache, CacheEntry, CacheStats, parse_max_age
 from .clock import NS_PER_MS, NS_PER_S, Clock, SystemClock, VirtualClock
 from .config import (
     CONFIG_IDS,
-    EstimatorSettings,
     SuiteMatrix,
     algorithm_parameter,
     format_estimator_config,
     parse_config_id,
-    parse_estimator_config,
     parse_matrix,
 )
 from .effects import Call, DirectLink, Handler, Link, Sleep, TransportError, drive, invoke_handler

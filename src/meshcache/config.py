@@ -1,28 +1,27 @@
-"""Named experiment configurations and flat-file config codecs.
+"""Named experiment configurations and flat-file config formats.
 
 Config IDs name an estimation algorithm plus its parameter, e.g.
 "static-10", "adaptive-0.25", "updaterisk-0.90": every "<family>-<number>"
-string parses the same way. CONFIG_IDS names the evaluation suite's
-twelve ids in the order results are reported. A "dynamic-" prefix on the
-adaptive/updaterisk families is accepted as an alias and normalized away.
+string parses the same way. The number is a plain ASCII decimal, digits
+for static and digits with an optional ".digits" fraction for the other
+families, so no other spelling runs one algorithm under a second name.
+CONFIG_IDS names the evaluation suite's twelve ids in the order results
+are reported. A "dynamic-" prefix on the adaptive/updaterisk families is
+accepted as an alias and normalized away.
 
 Two flat text formats live here as well: the estimator sidecar's
-key=value config file (written by the harness, read back when the
-sidecar is built) and the suite matrix file (one config id per line,
-plus optional phases=/seeds=/duration_s=/clock= lines).
+key=value settings, which the harness writes to each run's estimator.cfg
+(nothing reads it back), and the suite matrix file (one config id per
+line, plus optional phases=/seeds=/duration_s=/clock= lines).
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .estimator import (
-    DEFAULT_HOUSEKEEPING_AFTER_S,
-    validate_blacklist,
-    validate_housekeeping_after,
-    validate_max_ttl_cap,
-)
-from .ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
+from .ttl import AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
 from .workload import PHASE_SHIFTS, WorkloadConfig
 
 CONFIG_IDS = (
@@ -43,6 +42,15 @@ CONFIG_IDS = (
 DEFAULT_SEEDS = (1, 2, 3)
 
 
+# Each family's parameter grammar and the algorithm its text stands for.
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+_FAMILIES: dict[str, tuple[re.Pattern[str], Callable[[str], AlgorithmConfig]]] = {
+    "static": (re.compile(r"[0-9]+"), lambda p: StaticTtl(int(p))),
+    "adaptive": (_DECIMAL, lambda p: AdaptiveTtl(float(p))),
+    "updaterisk": (_DECIMAL, lambda p: UpdateRiskTtl(float(p))),
+}
+
+
 def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
     """Resolve an id to (canonical id, algorithm config).
 
@@ -55,16 +63,15 @@ def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
     family, sep, param = name.partition("-")
     if not sep or not param:
         raise ValueError(f"config id {config_id!r} is not <family>-<parameter>")
+    if family not in _FAMILIES:
+        raise ValueError(f"config id {config_id!r} names unknown family {family!r}")
+    grammar, build = _FAMILIES[family]
+    if not grammar.fullmatch(param):
+        raise ValueError(f"config id {config_id!r}: {param!r} is not a plain ASCII decimal")
     try:
-        if family == "static":
-            return name, StaticTtl(int(param))
-        if family == "adaptive":
-            return name, AdaptiveTtl(float(param))
-        if family == "updaterisk":
-            return name, UpdateRiskTtl(float(param))
+        return name, build(param)
     except ValueError as exc:
         raise ValueError(f"config id {config_id!r}: {exc}") from None
-    raise ValueError(f"config id {config_id!r} names unknown family {family!r}")
 
 
 def canonical_order(config_id: str) -> tuple[int, str]:
@@ -86,79 +93,25 @@ def algorithm_parameter(algorithm: AlgorithmConfig) -> float:
     raise TypeError(f"unknown algorithm config {algorithm!r}")
 
 
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """Everything the estimator sidecar needs, round-trippable as text."""
-
-    algorithm: AlgorithmConfig
-    blacklist: tuple[str, ...] = ()
-    housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S
-    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blacklist", validate_blacklist(self.blacklist))
-
-
-def format_estimator_config(settings: EstimatorSettings) -> str:
-    algo = settings.algorithm
-    lines = []
-    if isinstance(algo, StaticTtl):
-        lines += ["algorithm=static", f"beta={algo.beta}"]
-    elif isinstance(algo, AdaptiveTtl):
-        lines += ["algorithm=adaptive", f"alpha={algo.alpha!r}"]
-    elif isinstance(algo, UpdateRiskTtl):
-        lines += ["algorithm=updaterisk", f"rho={algo.rho!r}", f"k={algo.k}"]
+def format_estimator_config(
+    algorithm: AlgorithmConfig,
+    blacklist: Sequence[str],
+    housekeeping_after_s: float,
+    max_ttl_cap: int | None,
+) -> str:
+    """The estimator's settings as key=value lines, one per setting."""
+    if isinstance(algorithm, StaticTtl):
+        lines = ["algorithm=static", f"beta={algorithm.beta}"]
+    elif isinstance(algorithm, AdaptiveTtl):
+        lines = ["algorithm=adaptive", f"alpha={algorithm.alpha!r}"]
+    elif isinstance(algorithm, UpdateRiskTtl):
+        lines = ["algorithm=updaterisk", f"rho={algorithm.rho!r}", f"k={algorithm.k}"]
     else:
-        raise TypeError(f"unknown algorithm config {algo!r}")
-    lines.append("blacklist=" + ",".join(settings.blacklist))
-    lines.append(f"housekeeping_after={settings.housekeeping_after_s!r}")
-    cap = "none" if settings.max_ttl_cap is None else str(settings.max_ttl_cap)
-    lines.append(f"max_ttl_cap={cap}")
+        raise TypeError(f"unknown algorithm config {algorithm!r}")
+    lines.append("blacklist=" + ",".join(blacklist))
+    lines.append(f"housekeeping_after={housekeeping_after_s!r}")
+    lines.append(f"max_ttl_cap={'none' if max_ttl_cap is None else max_ttl_cap}")
     return "\n".join(lines) + "\n"
-
-
-def parse_estimator_config(text: str) -> EstimatorSettings:
-    values: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {i}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
-
-    def take(key: str) -> str:
-        if key not in values:
-            raise ValueError(f"missing key {key!r}")
-        return values.pop(key)
-
-    family = take("algorithm")
-    if family == "static":
-        algorithm: AlgorithmConfig = StaticTtl(int(take("beta")))
-    elif family == "adaptive":
-        algorithm = AdaptiveTtl(float(take("alpha")))
-    elif family == "updaterisk":
-        algorithm = UpdateRiskTtl(float(take("rho")), int(values.pop("k", "2")))
-    else:
-        raise ValueError(f"unknown algorithm {family!r}")
-    raw_blacklist = values.pop("blacklist", "")
-    blacklist = tuple(p.strip() for p in raw_blacklist.split(",") if p.strip())
-    housekeeping = validate_housekeeping_after(
-        float(values.pop("housekeeping_after", str(DEFAULT_HOUSEKEEPING_AFTER_S))),
-        "housekeeping_after",
-    )
-    raw_cap = values.pop("max_ttl_cap", str(DEFAULT_MAX_TTL_CAP))
-    try:
-        cap = None if raw_cap.lower() == "none" else int(raw_cap)
-    except ValueError:
-        raise ValueError(
-            f"max_ttl_cap must be a non-negative integer or none, got {raw_cap!r}"
-        ) from None
-    validate_max_ttl_cap(cap)
-    if values:
-        raise ValueError(f"unknown keys: {sorted(values)}")
-    return EstimatorSettings(algorithm, blacklist, housekeeping, cap)
 
 
 @dataclass(frozen=True)
@@ -183,6 +136,14 @@ class SuiteMatrix:
                 WorkloadConfig(duration_s=self.duration_s, seed=seed, phase_tag=phase)
 
 
+def _number(key: str, convert: Callable[[str], float], text: str) -> float:
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{key}: {text.strip()!r} is not {kind}") from None
+
+
 def parse_matrix(text: str) -> SuiteMatrix:
     config_ids: list[str] = []
     options: dict[str, str] = {}
@@ -197,12 +158,15 @@ def parse_matrix(text: str) -> SuiteMatrix:
         canonical, _ = parse_config_id(line)  # validates; raises ValueError
         config_ids.append(canonical)
     kwargs: dict = {}
+    # Each phase and seed runs once, however often the file lists it.
     if "phases" in options:
-        kwargs["phases"] = tuple(p.strip() for p in options.pop("phases").split(",") if p.strip())
+        phases = (p.strip() for p in options.pop("phases").split(","))
+        kwargs["phases"] = tuple(dict.fromkeys(p for p in phases if p))
     if "seeds" in options:
-        kwargs["seeds"] = tuple(int(s) for s in options.pop("seeds").split(",") if s.strip())
+        seeds = (s for s in options.pop("seeds").split(",") if s.strip())
+        kwargs["seeds"] = tuple(dict.fromkeys(_number("seeds", int, s) for s in seeds))
     if "duration_s" in options:
-        kwargs["duration_s"] = float(options.pop("duration_s"))
+        kwargs["duration_s"] = _number("duration_s", float, options.pop("duration_s"))
     if "clock" in options:
         kwargs["clock"] = options.pop("clock")
     if options:

@@ -62,18 +62,18 @@ def validate_blacklist(patterns: Iterable[str]) -> tuple[str, ...]:
     return tuple(checked)
 
 
-def validate_housekeeping_after(seconds: float, field: str = "housekeeping_after_s") -> float:
+def validate_housekeeping_after(seconds: float) -> None:
     """Check a housekeeping window up front: positive, and finite in nanoseconds."""
     if not (seconds > 0 and math.isfinite(seconds * NS_PER_S)):
-        raise ValueError(f"{field} must be positive and finite in nanoseconds, got {seconds}")
-    return seconds
+        raise ValueError(
+            f"housekeeping_after_s must be positive and finite in nanoseconds, got {seconds}"
+        )
 
 
-def validate_max_ttl_cap(cap: int | None) -> int | None:
+def validate_max_ttl_cap(cap: int | None) -> None:
     """Check a TTL cap up front: None (no cap) or an integer >= 0 (0: never cache)."""
     if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
         raise ValueError(f"max_ttl_cap must be a non-negative integer or None, got {cap!r}")
-    return cap
 
 
 @lru_cache(maxsize=MAX_AGE_CACHE_SIZE)

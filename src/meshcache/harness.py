@@ -15,8 +15,8 @@ Each run directory holds four files:
 
     events.csv      every timestamped CSV row from all components, in
                     record order
-    estimator.cfg   the estimator sidecar's key=value config (the run
-                    builds the sidecar by parsing this file back)
+    estimator.cfg   the settings the estimator sidecar was built with, as
+                    key=value lines (nothing reads the file back)
     result.json     the run's identity, the cache's counters, and the
                     totals and windows of one fold over the rows
                     (compute_windows), which `meshcache aggregate` repeats
@@ -38,20 +38,13 @@ import json
 import math
 from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 from .cache import Cache, CacheStats
 from .clock import Clock, SystemClock, seconds_to_ns
-from .config import (
-    EstimatorSettings,
-    algorithm_parameter,
-    canonical_order,
-    format_estimator_config,
-    parse_config_id,
-    parse_estimator_config,
-)
+from .config import algorithm_parameter, canonical_order, format_estimator_config, parse_config_id
 from .effects import Handler, Link, Sleep
 from .estimator import (
     DEFAULT_HOUSEKEEPING_AFTER_S,
@@ -67,9 +60,7 @@ from .ttl import DEFAULT_MAX_TTL_CAP
 from .workload import (
     GET_METHOD,
     PHASE_SHIFTS,
-    QUERY_SINUSOID,
     SET_METHOD,
-    UPDATE_SINUSOID,
     StalenessLedger,
     ValueServer,
     WorkloadConfig,
@@ -84,7 +75,10 @@ WINDOW_S = 15.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run: an algorithm id against one workload instance."""
+    """One run: an algorithm id against one workload instance.
+
+    The run's estimator and workload are built from these fields alone.
+    """
 
     config_id: str
     phase_tag: str = "0"
@@ -109,25 +103,7 @@ class ExperimentConfig:
         self.workload()  # checks phase, duration and seed
 
     def workload(self) -> WorkloadConfig:
-        # Built in two steps so that the duration is checked before the
-        # sinusoids, whose period is the duration.
-        workload = WorkloadConfig(
-            duration_s=self.duration_s, seed=self.seed, phase_tag=self.phase_tag
-        )
-        return replace(
-            workload,
-            query=replace(QUERY_SINUSOID, period_s=self.duration_s),
-            update=replace(UPDATE_SINUSOID, period_s=self.duration_s),
-        )
-
-    def estimator_settings(self) -> EstimatorSettings:
-        _, algorithm = parse_config_id(self.config_id)
-        return EstimatorSettings(
-            algorithm,
-            blacklist=(SET_METHOD,) if self.updates_via_cache else (),
-            housekeeping_after_s=self.housekeeping_after_s,
-            max_ttl_cap=self.max_ttl_cap,
-        )
+        return WorkloadConfig(duration_s=self.duration_s, seed=self.seed, phase_tag=self.phase_tag)
 
 
 @dataclass(frozen=True)
@@ -309,7 +285,7 @@ def compute_windows(
 
 
 def _wire(
-    settings: EstimatorSettings,
+    cfg: ExperimentConfig,
     connect: Callable[[Handler], Link],
     clock: Clock,
     log: EventLog,
@@ -317,25 +293,21 @@ def _wire(
 ) -> tuple[ValueServer, Estimator, Cache]:
     """Build server <- estimator <- cache; connect(handler) returns a link to it.
 
-    The estimator is built from its config file representation: the
-    settings always round-trip through the flat text codec, and with an
-    output directory the text is also written as estimator.cfg so the run
-    directory documents exactly what the sidecar was given.
+    With an output directory, the settings the estimator was built with
+    are also written as estimator.cfg, so the run directory documents
+    them.
     """
-    text = format_estimator_config(settings)
-    if out_dir is not None:
-        (out_dir / "estimator.cfg").write_text(text, encoding="ascii")
-    parsed = parse_estimator_config(text)
+    _, algorithm = parse_config_id(cfg.config_id)
+    settings = {
+        "blacklist": (SET_METHOD,) if cfg.updates_via_cache else (),
+        "housekeeping_after_s": cfg.housekeeping_after_s,
+        "max_ttl_cap": cfg.max_ttl_cap,
+    }
     server = ValueServer()
-    estimator = Estimator(
-        parsed.algorithm,
-        connect(server.handle),
-        clock,
-        log,
-        blacklist=parsed.blacklist,
-        housekeeping_after_s=parsed.housekeeping_after_s,
-        max_ttl_cap=parsed.max_ttl_cap,
-    )
+    estimator = Estimator(algorithm, connect(server.handle), clock, log, **settings)
+    if out_dir is not None:
+        text = format_estimator_config(algorithm, **settings)
+        (out_dir / "estimator.cfg").write_text(text, encoding="ascii")
     cache = Cache(connect(estimator.handle), clock, log)
     return server, estimator, cache
 
@@ -369,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             clock = SystemClock()
             connect = _tcp_connector(stack, clock)
-        server, estimator, cache = _wire(cfg.estimator_settings(), connect, clock, log, out_path)
+        server, estimator, cache = _wire(cfg, connect, clock, log, out_path)
         cache_link = connect(cache.handle)
         update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
         ledger = StalenessLedger(server.current_value())
@@ -381,8 +353,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 workload.query, clock, cache_link, ledger, query_rng, start_ns, end_ns, log
             ),
             update_actor(
-                workload.effective_update(), clock, update_link, ledger, update_rng,
-                start_ns, end_ns, log,
+                workload.update, clock, update_link, ledger, update_rng, start_ns, end_ns, log
             ),
             housekeeping_loop(estimator, end_ns, clock),
         ]
@@ -464,8 +435,8 @@ def run_scripted_trace(
     """Run a scripted trace through the virtual topology; returns log rows."""
     sim = Simulation()
     log = EventLog()
-    settings = ExperimentConfig(config_id, max_ttl_cap=max_ttl_cap).estimator_settings()
-    server, _, cache = _wire(settings, sim.virtual_link, sim.clock, log, None)
+    cfg = ExperimentConfig(config_id, max_ttl_cap=max_ttl_cap)
+    server, _, cache = _wire(cfg, sim.virtual_link, sim.clock, log, None)
     ledger = StalenessLedger(server.current_value())
     cache_link, server_link = sim.virtual_link(cache.handle), sim.virtual_link(server.handle)
     sim.spawn(

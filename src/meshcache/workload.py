@@ -101,8 +101,9 @@ UPDATE_SINUSOID = SinusoidConfig(mean_rate=0.575, amplitude=0.525)
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    query: SinusoidConfig = QUERY_SINUSOID
-    update: SinusoidConfig = UPDATE_SINUSOID
+    """One run's workload: both sinusoids take the run's duration as their
+    period, and the update sinusoid is shifted by PHASE_SHIFTS[phase_tag]."""
+
     duration_s: float = 300.0
     seed: int = 1
     phase_tag: str = "0"
@@ -118,12 +119,14 @@ class WorkloadConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
-    def phase_shift(self) -> float:
-        return PHASE_SHIFTS[self.phase_tag]
+    def query(self) -> SinusoidConfig:
+        return replace(QUERY_SINUSOID, period_s=self.duration_s)
 
-    def effective_update(self) -> SinusoidConfig:
-        """Update sinusoid with the configured phase shift applied."""
-        return replace(self.update, phase=self.update.phase + self.phase_shift)
+    @property
+    def update(self) -> SinusoidConfig:
+        return replace(
+            UPDATE_SINUSOID, period_s=self.duration_s, phase=PHASE_SHIFTS[self.phase_tag]
+        )
 
     def actor_rngs(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent (query, update) RNG streams from the run seed.

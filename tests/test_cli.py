@@ -61,6 +61,16 @@ def test_run_refuses_an_alpha_that_is_not_finite(tmp_path, capsys, alpha):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("config_id", ["static-\u0663", "static-1_0", "adaptive-1e-1", "static-+1"])
+def test_run_refuses_a_parameter_that_is_not_a_plain_decimal(tmp_path, capsys, config_id):
+    # Each would otherwise run under a second name for one algorithm, or
+    # write a run directory whose name is not ASCII.
+    code = main(["run", "--config-id", config_id, "--duration-s", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"bad config: config id {config_id!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_suite_runs_a_matrix(tmp_path, capsys):
     matrix = tmp_path / "matrix.txt"
     matrix.write_text("static-1\nphases=0,pi\nseeds=1\nduration_s=5\n")
@@ -237,6 +247,12 @@ def test_readme_matrix_example_parses():
     assert (defaults.phases, defaults.seeds, defaults.duration_s) == (
         ("0", "pi4", "pi2", "pi"), (1, 2, 3), 300.0
     )
+
+
+def test_the_golden_suite_matrix_is_the_readme_matrix():
+    (block,) = readme_blocks("ini")
+    golden = Path(__file__).resolve().parent / "golden" / "paper_matrix.cfg"
+    assert golden.read_text(encoding="ascii") == block
 
 
 def test_readme_post_processing_examples_run(tmp_path, monkeypatch):

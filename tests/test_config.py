@@ -1,20 +1,25 @@
-"""Config ids, the estimator config codec, and suite matrix parsing."""
+"""Config ids, the estimator config text, and suite matrix parsing."""
+
+import re
 
 import pytest
 
+from meshcache.clock import VirtualClock
 from meshcache.config import (
     CONFIG_IDS,
     DEFAULT_SEEDS,
-    EstimatorSettings,
     SuiteMatrix,
     algorithm_parameter,
     canonical_order,
     format_estimator_config,
     parse_config_id,
-    parse_estimator_config,
     parse_matrix,
 )
+from meshcache.effects import DirectLink
+from meshcache.estimator import Estimator
+from meshcache.harness import ExperimentConfig
 from meshcache.ttl import AdaptiveTtl, StaticTtl, UpdateRiskTtl
+from meshcache.workload import ValueServer
 
 
 # --- config ids ---
@@ -69,6 +74,7 @@ def test_dynamic_prefix_is_normalized_away():
 def test_generic_family_parameter_ids_parse():
     assert parse_config_id("static-42") == ("static-42", StaticTtl(42))
     assert parse_config_id("adaptive-1.25") == ("adaptive-1.25", AdaptiveTtl(1.25))
+    assert parse_config_id("adaptive-2") == ("adaptive-2", AdaptiveTtl(2.0))
     assert parse_config_id("updaterisk-0.33") == ("updaterisk-0.33", UpdateRiskTtl(0.33))
 
 
@@ -77,10 +83,15 @@ def test_generic_family_parameter_ids_parse():
     [
         "", "static", "static-", "nosuch-1", "adaptive-zero", "static--3", "adaptive-0",
         "adaptive-inf", "adaptive-nan",
+        # Only plain ASCII decimals: no other spelling of a number may run
+        # under a second name, or under a name that is not ASCII.
+        "static-\u0663", "adaptive-0.\u0665", "updaterisk-\uff10.5", "static-1_0",
+        "adaptive-1e-1", "updaterisk-5e-1", "static-+1", "adaptive-+0.5", "static-1.0",
+        "adaptive-.5", "adaptive-0.", "static- 1", "adaptive-0x1",
     ],
 )
 def test_unusable_ids_raise(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
         parse_config_id(bad)
 
 
@@ -102,78 +113,56 @@ def test_algorithm_parameter_extracts_the_knob():
     assert algorithm_parameter(UpdateRiskTtl(0.75)) == 0.75
 
 
-# --- estimator config codec ---
+# --- estimator config text ---
+
+
+def read_settings(text):
+    """An estimator.cfg text's key=value lines, as a dict."""
+    return dict(line.split("=", 1) for line in text.splitlines())
 
 
 def test_estimator_config_roundtrip_static():
-    settings = EstimatorSettings(StaticTtl(10))
-    text = format_estimator_config(settings)
-    assert "algorithm=static" in text and "beta=10" in text
-    assert parse_estimator_config(text) == settings
+    text = format_estimator_config(StaticTtl(10), (), 300.0, 30)
+    assert text == "algorithm=static\nbeta=10\nblacklist=\nhousekeeping_after=300.0\nmax_ttl_cap=30\n"
 
 
 def test_estimator_config_roundtrip_adaptive_preserves_float_exactly():
-    settings = EstimatorSettings(AdaptiveTtl(0.1), max_ttl_cap=None)
-    parsed = parse_estimator_config(format_estimator_config(settings))
-    assert parsed.algorithm.alpha == 0.1  # repr round-trip, no drift
-    assert parsed.max_ttl_cap is None
+    values = read_settings(format_estimator_config(AdaptiveTtl(0.1), (), 300.0, None))
+    assert float(values["alpha"]) == 0.1  # written as its repr: no drift
+    assert values["max_ttl_cap"] == "none"
 
 
 def test_estimator_config_roundtrip_update_risk_with_blacklist():
-    settings = EstimatorSettings(
-        UpdateRiskTtl(0.5, k=3),
-        blacklist=("SetValue", "Admin*"),
-        housekeeping_after_s=120.0,
-        max_ttl_cap=15,
-    )
-    assert parse_estimator_config(format_estimator_config(settings)) == settings
-
-
-def test_estimator_config_accepts_comments_and_defaults():
-    text = "# sidecar settings\nalgorithm=updaterisk\nrho=0.5\n"
-    settings = parse_estimator_config(text)
-    assert settings.algorithm == UpdateRiskTtl(0.5, k=2)  # k defaulted
-    assert settings.blacklist == ()
-    assert settings.max_ttl_cap == 30
-
-
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("algorithm=magic\n", "unknown algorithm"),
-        ("rho=0.5\n", "missing key"),
-        ("algorithm=adaptive\nalpha=0.5\nwhat=ever\n", "unknown keys"),
-        ("algorithm adaptive\n", "key=value"),
-    ],
-)
-def test_estimator_config_rejects_bad_text(text, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        parse_estimator_config(text)
+    text = format_estimator_config(UpdateRiskTtl(0.5, k=3), ("SetValue", "Admin*"), 120.0, 15)
+    assert read_settings(text) == {
+        "algorithm": "updaterisk",
+        "rho": "0.5",
+        "k": "3",
+        "blacklist": "SetValue,Admin*",
+        "housekeeping_after": "120.0",
+        "max_ttl_cap": "15",
+    }
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "1e300"])
 def test_estimator_config_refuses_a_bad_housekeeping_window(value):
-    text = f"algorithm=static\nbeta=1\nhousekeeping_after={value}\n"
-    with pytest.raises(ValueError, match="housekeeping_after must be positive and finite"):
-        parse_estimator_config(text)
+    # The run's config holds the estimator's settings and checks them
+    # before anything is built.
+    with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
+        ExperimentConfig("static-1", housekeeping_after_s=float(value))
 
 
-@pytest.mark.parametrize("value", ["-1", "1.5", "ten", ""])
+@pytest.mark.parametrize("value", [-1, 1.5, "ten", ""])
 def test_estimator_config_refuses_a_bad_ttl_cap_by_name(value):
-    text = f"algorithm=adaptive\nalpha=0.5\nmax_ttl_cap={value}\n"
     with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
-        parse_estimator_config(text)
-
-
-@pytest.mark.parametrize("value, cap", [("0", 0), ("none", None), ("None", None)])
-def test_estimator_config_keeps_a_zero_or_absent_ttl_cap(value, cap):
-    text = f"algorithm=adaptive\nalpha=0.5\nmax_ttl_cap={value}\n"
-    assert parse_estimator_config(text).max_ttl_cap == cap
+        ExperimentConfig("adaptive-0.5", max_ttl_cap=value)
 
 
 def test_settings_validate_blacklist_up_front():
-    with pytest.raises(ValueError):
-        EstimatorSettings(StaticTtl(1), blacklist=("mid*dle",))
+    clock = VirtualClock()
+    upstream = DirectLink(ValueServer().handle, clock)
+    with pytest.raises(ValueError, match="trailing wildcard"):
+        Estimator(StaticTtl(1), upstream, clock, blacklist=("mid*dle",))
 
 
 # --- suite matrix ---
@@ -198,6 +187,22 @@ def test_matrix_options_and_dedup():
     assert matrix.phases == ("0", "pi")
     assert matrix.seeds == (7, 8)
     assert matrix.duration_s == 60.0
+
+
+def test_matrix_runs_each_phase_and_seed_once():
+    matrix = parse_matrix("static-1\nstatic-1\nphases=0,pi,0\nseeds=1,2,1,01\n")
+    assert matrix.config_ids == ("static-1",)
+    assert matrix.phases == ("0", "pi")
+    assert matrix.seeds == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("seeds=x", "seeds"), ("seeds=1,2.5", "seeds"), ("duration_s=long", "duration_s")],
+)
+def test_matrix_names_the_key_of_a_value_that_is_not_a_number(line, key):
+    with pytest.raises(ValueError, match=f"^{key}: '[^']+' is not an? (integer|number)$"):
+        parse_matrix(f"static-1\n{line}\n")
 
 
 @pytest.mark.parametrize(

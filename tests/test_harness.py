@@ -1,6 +1,7 @@
 """Experiment harness: windows, runs, scripted traces, aggregation, suites."""
 
 import gc
+import inspect
 import json
 import math
 import os
@@ -17,7 +18,8 @@ import pytest
 
 from meshcache import harness
 from meshcache.cache import CacheStats
-from meshcache.config import parse_estimator_config
+from meshcache.config import format_estimator_config
+from meshcache.estimator import Estimator
 from meshcache.eventlog import EventRow, parse_event_log
 from meshcache.harness import (
     ExperimentConfig,
@@ -37,7 +39,7 @@ from meshcache.harness import (
     write_timeseries,
 )
 from meshcache.sim import Simulation, VirtualLink
-from meshcache.ttl import UpdateRiskTtl
+from meshcache.ttl import AdaptiveTtl, UpdateRiskTtl
 
 import reference_fold
 from reference_scheduler import ReferenceSimulation
@@ -163,9 +165,7 @@ def test_experiment_config_validation():
     for latency in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="link_latency_s must be non-negative and finite"):
             ExperimentConfig(config_id="static-1", link_latency_s=latency)
-    for after in (0.0, -5.0, math.nan, math.inf, 1e300):
-        with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
-            ExperimentConfig(config_id="static-1", housekeeping_after_s=after)
+    # A bad housekeeping window: tests/test_config.py.
 
 
 @pytest.mark.parametrize("cap", [-1, 1.5, "5", True])
@@ -189,11 +189,45 @@ def test_max_ttl_cap_none_means_no_cap(tmp_path):
     assert "max_ttl_cap=none\n" in (tmp_path / "estimator.cfg").read_text()
 
 
-def test_updates_via_cache_blacklists_set_value():
-    cfg = ExperimentConfig(config_id="adaptive-0.5", updates_via_cache=True)
-    assert "SetValue" in cfg.estimator_settings().blacklist
-    plain = ExperimentConfig(config_id="adaptive-0.5")
-    assert plain.estimator_settings().blacklist == ()
+def record_estimators(monkeypatch):
+    """Make each run's harness.Estimator record the arguments it is built with."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(inspect.signature(Estimator).bind(*args, **kwargs).arguments)
+        return Estimator(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "Estimator", build)
+    return built
+
+
+def test_updates_via_cache_blacklists_set_value(tmp_path, monkeypatch):
+    built = record_estimators(monkeypatch)
+    for via_cache in (True, False):
+        cfg = ExperimentConfig("adaptive-0.5", duration_s=5.0, updates_via_cache=via_cache)
+        run_experiment(cfg, tmp_path / str(via_cache))
+    assert [args.get("blacklist") for args in built] == [("SetValue",), ()]
+
+
+def test_estimator_cfg_states_the_settings_the_estimator_was_built_with(tmp_path, monkeypatch):
+    built = record_estimators(monkeypatch)
+    cfg = ExperimentConfig(
+        "updaterisk-0.25",
+        duration_s=5.0,
+        housekeeping_after_s=42.5,
+        max_ttl_cap=None,
+        updates_via_cache=True,
+    )
+    run_experiment(cfg, tmp_path)
+    (args,) = built
+    assert args["algorithm"] == UpdateRiskTtl(0.25)
+    assert (args["blacklist"], args["housekeeping_after_s"], args["max_ttl_cap"]) == (
+        ("SetValue",), 42.5, None
+    )
+    assert (tmp_path / "estimator.cfg").read_text(encoding="ascii") == (
+        "algorithm=updaterisk\nrho=0.25\nk=2\nblacklist=SetValue\n"
+        "housekeeping_after=42.5\nmax_ttl_cap=none\n"
+    )
 
 
 # --- virtual runs ---
@@ -213,8 +247,9 @@ def test_run_writes_the_four_run_files(tmp_path):
     result = run_experiment(cfg, tmp_path)
     rows = parse_event_log((tmp_path / "events.csv").read_text())
     assert rows == sorted(rows, key=lambda r: r.timestamp_ns)
-    settings = parse_estimator_config((tmp_path / "estimator.cfg").read_text())
-    assert settings == cfg.estimator_settings()
+    assert (tmp_path / "estimator.cfg").read_text() == format_estimator_config(
+        AdaptiveTtl(0.5), (), 300.0, 30
+    )
     assert read_result(tmp_path / "result.json") == result
     series = (tmp_path / "timeseries.csv").read_text().splitlines()
     assert series[0] == "window_start_s,hit_fraction,error_fraction,mean_ttl"

@@ -66,13 +66,21 @@ def test_standard_rate_ranges():
 
 def test_phase_offsets_shift_the_update_sinusoid():
     cfg = WorkloadConfig(phase_tag="pi")
-    shifted = cfg.effective_update()
-    assert shifted.phase == pytest.approx(math.pi)
+    shifted = cfg.update
+    assert shifted.phase == math.pi
+    assert cfg.query.phase == 0.0
     # At t=0 the shifted update sinusoid sits at its mean; at period/4 a
     # pi shift lands on the trough instead of the crest.
     period = shifted.period_s
     assert rate_at(shifted, period / 4) == pytest.approx(0.05)
     assert rate_at(cfg.query, period / 4) == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("phase_tag", sorted(PHASE_SHIFTS))
+def test_both_sinusoids_take_the_duration_as_their_period(phase_tag):
+    cfg = WorkloadConfig(duration_s=120.0, phase_tag=phase_tag)
+    assert cfg.query == SinusoidConfig(5.5, 4.5, period_s=120.0)
+    assert cfg.update == SinusoidConfig(0.575, 0.525, 120.0, PHASE_SHIFTS[phase_tag])
 
 
 def test_workload_config_validation():
@@ -227,20 +235,13 @@ def run_actors(duration_s=5.0, with_updates=True, seed=3):
     link = sim.virtual_link(server.handle)
     ledger = StalenessLedger(server.current_value())
     log = EventLog()
-    cfg = WorkloadConfig(
-        query=SinusoidConfig(10.0, 0.0),
-        update=SinusoidConfig(2.0, 0.0),
-        duration_s=duration_s,
-        seed=seed,
-    )
-    query_rng, update_rng = cfg.actor_rngs()
+    query_rng, update_rng = WorkloadConfig(duration_s=duration_s, seed=seed).actor_rngs()
     end_ns = int(duration_s * NS_PER_S)
-    sim.spawn(query_actor(cfg.query, sim.clock, link, ledger, query_rng, 0, end_ns, log))
+    steady_queries, steady_updates = SinusoidConfig(10.0, 0.0), SinusoidConfig(2.0, 0.0)
+    sim.spawn(query_actor(steady_queries, sim.clock, link, ledger, query_rng, 0, end_ns, log))
     if with_updates:
         sim.spawn(
-            update_actor(
-                cfg.effective_update(), sim.clock, link, ledger, update_rng, 0, end_ns, log
-            )
+            update_actor(steady_updates, sim.clock, link, ledger, update_rng, 0, end_ns, log)
         )
     sim.run(until_ns=end_ns)
     return server, ledger, log
