@@ -21,13 +21,14 @@ from .config import (
 )
 from .effects import Call, DirectLink, Handler, Link, Sleep, TransportError, drive, invoke_handler
 from .estimator import Estimator, blacklist_matches, housekeeping_loop, validate_blacklist
-from .eventlog import EventLog, EventRow, parse_event_log, parse_event_row
+from .eventlog import EventLog, EventRow, parse_event_log, parse_event_row, split_kinds
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
     RunMetrics,
     ScriptedOp,
     SuiteOutcome,
+    WindowSeries,
     WindowStats,
     aggregate_logs,
     compute_windows,

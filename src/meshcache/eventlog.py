@@ -5,31 +5,34 @@ Row format, one event per line:
     <nanos>,<component>,<method>,<event>,<value>
 
 value may be empty (cache hit/miss rows leave it blank). A row is an
-EventRow, a named tuple, but the log keeps no object per row: it holds
-one flat list with five slots per row, the row's fields in order. A run
-records one row per event, and a flat list costs five references a row
-where a tuple per row costs a tuple header as well. It also leaves the
-cyclic garbage collector nothing per row to track: the rows' fields are
-ints and strings, which it never traverses. rows() hands the rows out as
-EventRows; iterating the log yields the plain tuple of each row's
-fields, for a fold that unpacks them by position. The log has no lock:
-both backends run every component that records on one thread (the
-virtual scheduler's, or the TCP backend's loop), and callers read the
-rows once the run has ended.
+EventRow, a named tuple, but the log keeps no object per row. A row is
+its timestamp and its kind, the (component, method, event, value) tuple,
+and the log holds them as two slots of one flat list. Rows of one kind
+share one kind tuple, and a run has a few dozen kinds against tens of
+thousands of rows, so a row costs two references. It also leaves the
+cyclic garbage collector nothing per row to track. stamped_kinds() hands
+the rows out as (timestamp, kind) pairs, the input of the harness's
+fold; rows() hands them out as EventRows, and iterating the log yields
+the plain tuple of each row's five fields. The log has no lock: both
+backends run every component that records on one thread (the virtual
+scheduler's, or the TCP backend's loop), and callers read the rows once
+the run has ended.
 
 Rows stay in record order, which is timestamp order: every component
 stamps a row with a read of the run's one monotonic clock made just
 before it records, on that one thread, so no row can carry an earlier
-time than one recorded before it. rows(), iteration and render() hand
-them out as recorded, with no sort.
+time than one recorded before it. Every reader hands them out as
+recorded, with no sort.
 
 write_to() formats and writes WRITE_BLOCK_ROWS rows at a time, so writing
-a log holds one block's text at once, not the whole file's; render()
-joins the same blocks.
+a log holds one block's text at once, not the whole file's. Each kind's
+text after the timestamp is formatted once per write, so a row costs one
+int's formatting; render() joins the same blocks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -48,6 +51,9 @@ _new = tuple.__new__
 # The plain tuple of an EventRow's fields, as iterating the log yields it.
 RowFields = tuple[int, str, str, str, str]
 
+# A row's kind: (component, method, event, value).
+RowKind = tuple[str, str, str, str]
+
 # Rows formatted and written per block: about 150 KB of text at the
 # harness's row widths.
 WRITE_BLOCK_ROWS = 4096
@@ -57,8 +63,11 @@ class EventLog:
     """In-memory event sink."""
 
     def __init__(self) -> None:
-        # Five slots per row: timestamp_ns, component, method, event, value.
-        self._rows: list[int | str] = []
+        # Every distinct kind recorded, mapped to itself: the one copy
+        # that every row of that kind holds.
+        self._kinds: dict[RowKind, RowKind] = {}
+        # Two slots per row: timestamp_ns, kind.
+        self._rows: list[int | RowKind] = []
 
     def record(
         self,
@@ -68,21 +77,27 @@ class EventLog:
         event: str,
         value: str = "",
     ) -> None:
-        self._rows += (timestamp_ns, component, method, event, value)
+        kind = (component, method, event, value)
+        self._rows += (timestamp_ns, self._kinds.setdefault(kind, kind))
+
+    def stamped_kinds(self) -> Iterator[tuple[int, RowKind]]:
+        """Each row as (timestamp_ns, kind), in record order."""
+        slots = iter(self._rows)
+        return zip(slots, slots)
 
     def rows(self) -> list[EventRow]:
-        return [_new(EventRow, row) for row in self]
+        return [_new(EventRow, (ts, *kind)) for ts, kind in self.stamped_kinds()]
 
     def __iter__(self) -> Iterator[RowFields]:
-        fields = iter(self._rows)
-        return zip(fields, fields, fields, fields, fields)
+        return ((ts, *kind) for ts, kind in self.stamped_kinds())
 
     def _blocks(self) -> Iterator[str]:
         """CSV text of up to WRITE_BLOCK_ROWS rows at a time, in record order."""
-        rows = iter(self)
+        # ",component,method,event,value\n" of every kind, formatted once.
+        tails = {kind: f",{','.join(kind)}\n" for kind in self._kinds}
+        stamped = self.stamped_kinds()
         while block := "".join([
-            f"{ts},{component},{method},{event},{value}\n"
-            for ts, component, method, event, value in islice(rows, WRITE_BLOCK_ROWS)
+            f"{ts}{tails[kind]}" for ts, kind in islice(stamped, WRITE_BLOCK_ROWS)
         ]):
             yield block
 
@@ -94,6 +109,13 @@ class EventLog:
         with open(path, "w", encoding="ascii") as fh:
             for block in self._blocks():
                 fh.write(block)
+
+
+def split_kinds(rows: Iterable[RowFields]) -> Iterator[tuple[int, RowKind]]:
+    """Five-field rows (EventRows, say) as the (timestamp_ns, kind) pairs
+    EventLog.stamped_kinds() yields."""
+    return ((ts, (component, method, event, value))
+            for ts, component, method, event, value in rows)
 
 
 def parse_event_row(line: str, row_number: int) -> EventRow:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Generator, Iterable, Sequence
+from array import array
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -53,10 +54,10 @@ from .estimator import (
     validate_housekeeping_after,
     validate_max_ttl_cap,
 )
-from .eventlog import EventLog, EventRow, RowFields, parse_event_log
+from .eventlog import EventLog, EventRow, RowKind, parse_event_log, split_kinds
 from .sim import Simulation
 from .tcp import ServerHandle, TcpLink, run_actors, serve
-from .ttl import DEFAULT_MAX_TTL_CAP
+from .ttl import DEFAULT_MAX_TTL_CAP, AlgorithmConfig
 from .workload import (
     GET_METHOD,
     PHASE_SHIFTS,
@@ -114,6 +115,48 @@ class WindowStats:
     mean_ttl: float
 
 
+class WindowSeries(Sequence[WindowStats]):
+    """A run's windows as three float columns, window i starting at i * window_s.
+
+    Iteration builds each WindowStats on demand (indexing builds them
+    all), so a kept run holds three arrays of doubles, not one object per
+    window and per float. A series equals any sequence of the same
+    WindowStats.
+    """
+
+    __slots__ = ("window_s", "error_fraction", "hit_fraction", "mean_ttl")
+
+    def __init__(
+        self, window_s: float, error_fraction: array, hit_fraction: array, mean_ttl: array
+    ) -> None:
+        self.window_s = window_s
+        self.error_fraction = error_fraction
+        self.hit_fraction = hit_fraction
+        self.mean_ttl = mean_ttl
+
+    def __len__(self) -> int:
+        return len(self.mean_ttl)
+
+    def __iter__(self) -> Iterator[WindowStats]:
+        w = self.window_s
+        columns = zip(self.error_fraction, self.hit_fraction, self.mean_ttl)
+        return (WindowStats(i * w, *values) for i, values in enumerate(columns))
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"WindowSeries({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class RunMetrics:
     """Run totals and per-window series from one scan over the event rows.
@@ -129,7 +172,7 @@ class RunMetrics:
     total_updates: int
     hits: int
     misses: int
-    windows: tuple[WindowStats, ...]
+    windows: Sequence[WindowStats]
 
     @property
     def error_fraction(self) -> float:
@@ -214,73 +257,81 @@ class ExperimentResult(RunMetrics):
         )
 
 
+# The per-window tallies of the fold, by name.
+_TALLIES = ("hit", "miss", "ok", "stale", "error", "update", "estimate")
+
+
+def _tally_of(kind: RowKind) -> tuple[str | None, float | None]:
+    """The tally a row of this kind adds one to (None: no tally), and the
+    TTL it issued (None but for estimate rows, whose value must parse)."""
+    component, method, event, value = kind
+    if component == "cache":
+        if event in ("hit", "miss"):
+            return event, None
+    elif component == "client":
+        if method == GET_METHOD:
+            if event in ("ok", "stale", "error"):
+                return event, None
+        elif method == SET_METHOD and event == "ok":
+            return "update", None
+    elif component == "estimator" and event == "estimate":
+        return "estimate", float(value)
+    return None, None
+
+
 def compute_windows(
-    rows: Iterable[RowFields],
+    stamped: Iterable[tuple[int, RowKind]],
     start_ns: int,
     duration_s: float,
     window_s: float = WINDOW_S,
 ) -> RunMetrics:
-    """Fold rows into run totals and fixed windows over [0, duration).
+    """Fold (timestamp_ns, kind) rows into run totals and fixed windows over
+    [0, duration).
 
     Each window holds its error fraction, hit fraction and mean issued
     TTL; rows outside [0, duration) count in the first or last window.
-    Rows are unpacked by position, in the EventRow field order, so plain
-    tuples of the fields (an EventLog iterated) fold as EventRows do.
+    Each distinct kind is classified once, on its first row: which tally
+    it bumps and the TTL it adds. EventLog.stamped_kinds() gives a log's
+    rows in this form, and split_kinds() any five-field rows.
     """
     count = max(1, math.ceil(duration_s / window_s))
     window_ns = seconds_to_ns(window_s)
-    hits = [0] * count
-    misses = [0] * count
-    ok = [0] * count
-    stale = [0] * count
+    tallies = {name: [0] * count for name in _TALLIES}
     ttl_sum = [0.0] * count
-    ttl_n = [0] * count
-    errored = updates = 0
+    steps: dict[RowKind, tuple[list[int] | None, float | None]] = {}
     last = count - 1
-    for ts, component, method, event, value in rows:
+    for ts, kind in stamped:
+        step = steps.get(kind)
+        if step is None:
+            name, ttl = _tally_of(kind)
+            step = steps[kind] = (tallies.get(name), ttl)
+        tally, ttl = step
+        if tally is None:
+            continue
         idx = (ts - start_ns) // window_ns
         if idx < 0:
             idx = 0
         elif idx > last:
             idx = last
-        if component == "cache":
-            if event == "hit":
-                hits[idx] += 1
-            elif event == "miss":
-                misses[idx] += 1
-        elif component == "client":
-            if method == GET_METHOD:
-                if event == "ok":
-                    ok[idx] += 1
-                elif event == "stale":
-                    stale[idx] += 1
-                elif event == "error":
-                    errored += 1
-            elif method == SET_METHOD and event == "ok":
-                updates += 1
-        elif component == "estimator" and event == "estimate":
-            ttl_sum[idx] += float(value)
-            ttl_n[idx] += 1
-    windows = []
-    for i in range(count):
-        queries = ok[i] + stale[i]
-        lookups = hits[i] + misses[i]
-        windows.append(
-            WindowStats(
-                start_s=i * window_s,
-                error_fraction=stale[i] / queries if queries else 0.0,
-                hit_fraction=hits[i] / lookups if lookups else 0.0,
-                mean_ttl=ttl_sum[i] / ttl_n[i] if ttl_n[i] else 0.0,
-            )
-        )
+        tally[idx] += 1
+        if ttl is not None:
+            ttl_sum[idx] += ttl
+    hits, misses, ok, stale = (tallies[name] for name in ("hit", "miss", "ok", "stale"))
+    ttl_n = tallies["estimate"]
+    windows = WindowSeries(
+        window_s,
+        error_fraction=array("d", [s / (o + s) if o + s else 0.0 for o, s in zip(ok, stale)]),
+        hit_fraction=array("d", [h / (h + m) if h + m else 0.0 for h, m in zip(hits, misses)]),
+        mean_ttl=array("d", [t / n if n else 0.0 for t, n in zip(ttl_sum, ttl_n)]),
+    )
     return RunMetrics(
         total_queries=sum(ok) + sum(stale),
         stale_queries=sum(stale),
-        errored_queries=errored,
-        total_updates=updates,
+        errored_queries=sum(tallies["error"]),
+        total_updates=sum(tallies["update"]),
         hits=sum(hits),
         misses=sum(misses),
-        windows=tuple(windows),
+        windows=windows,
     )
 
 
@@ -369,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             run_actors(actors)
-    metrics = compute_windows(log, start_ns, cfg.duration_s)
+    metrics = compute_windows(log.stamped_kinds(), start_ns, cfg.duration_s)
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
         **vars(metrics),
@@ -452,7 +503,7 @@ def aggregate_logs(text: str) -> RunMetrics:
     The whole log folds into one window. A log without a completed query
     or a cache lookup raises ValueError here, not at first use of a ratio.
     """
-    metrics = compute_windows(parse_event_log(text), 0, WINDOW_S)
+    metrics = compute_windows(split_kinds(parse_event_log(text)), 0, WINDOW_S)
     metrics.totals()  # validates both ratios
     return metrics
 
@@ -522,16 +573,23 @@ def run_suite(
     out_dir: str | Path,
     clock_mode: str = "virtual",
 ) -> SuiteOutcome:
-    """Run the cross product and write per-run dirs plus scatter.csv."""
+    """Run the cross product and write per-run dirs plus scatter.csv.
+
+    Each algorithm, phase and seed runs once, however often it is listed:
+    config ids that parse to one algorithm run under the first spelling.
+    """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    ordered_ids = sorted(dict.fromkeys(parse_config_id(c)[0] for c in config_ids),
-                         key=canonical_order)
+    spellings: dict[AlgorithmConfig, str] = {}
+    for config_id in config_ids:
+        name, algorithm = parse_config_id(config_id)
+        spellings.setdefault(algorithm, name)
+    ordered_ids = sorted(spellings.values(), key=canonical_order)
     results: list[ExperimentResult] = []
     failures: list[tuple[str, str, int, str]] = []
     for config_id in ordered_ids:
-        for phase in phases:
-            for seed in seeds:
+        for phase in dict.fromkeys(phases):
+            for seed in dict.fromkeys(seeds):
                 try:
                     cfg = ExperimentConfig(
                         config_id=config_id,

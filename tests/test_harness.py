@@ -11,7 +11,9 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,12 @@ from meshcache import harness
 from meshcache.cache import CacheStats
 from meshcache.config import format_estimator_config
 from meshcache.estimator import Estimator
-from meshcache.eventlog import EventRow, parse_event_log
+from meshcache.eventlog import EventLog, EventRow, parse_event_log, split_kinds
 from meshcache.harness import (
     ExperimentConfig,
+    WINDOW_S,
     ExperimentResult,
+    RunMetrics,
     ScriptedOp,
     WindowStats,
     aggregate_logs,
@@ -62,7 +66,7 @@ def test_compute_windows_hand_checked():
         EventRow(5 * NS, "client", "SetValue", "ok"),  # ignored by both fractions
         EventRow(45 * NS, "cache", "GetValue", "miss"),  # clamped into the last window
     ]
-    windows = compute_windows(rows, start_ns=0, duration_s=30.0).windows
+    windows = compute_windows(split_kinds(rows), start_ns=0, duration_s=30.0).windows
     assert len(windows) == 2
     first, second = windows
     assert first.start_s == 0.0
@@ -114,8 +118,14 @@ def test_positional_fold_matches_the_reference_fold_on_random_rows():
         duration_s = rng.choice([10.0, 30.0, 44.5, 90.0, 300.0])
         window_s = rng.choice([15.0, 7.5, 1.0])
         rows = random_fold_rows(rng, start_ns, duration_s, rng.randint(0, 400))
-        got = compute_windows(rows, start_ns, duration_s, window_s)
-        assert got == reference_fold.compute_windows(rows, start_ns, duration_s, window_s)
+        want = reference_fold.compute_windows(rows, start_ns, duration_s, window_s)
+        # Both inputs of the fold: a log's rows, whose equal kinds share
+        # one tuple, and rows split one by one, as a parsed file gives them.
+        log = EventLog()
+        for row in rows:
+            log.record(*row)
+        assert compute_windows(log.stamped_kinds(), start_ns, duration_s, window_s) == want
+        assert compute_windows(split_kinds(rows), start_ns, duration_s, window_s) == want
         for ts, component, method, event, _ in rows:
             if ts < start_ns:
                 seen.add("before start")
@@ -142,9 +152,33 @@ def test_positional_fold_matches_the_reference_fold_on_random_rows():
 
 def test_positional_fold_matches_the_reference_fold_on_a_run(tmp_path):
     cfg = ExperimentConfig("updaterisk-0.5", "pi2", seed=1, duration_s=300.0)
-    run_experiment(cfg, tmp_path)
-    rows = parse_event_log((tmp_path / "events.csv").read_text(encoding="ascii"))
-    assert compute_windows(rows, 0, 300.0) == reference_fold.compute_windows(rows, 0, 300.0)
+    result = run_experiment(cfg, tmp_path)
+    text = (tmp_path / "events.csv").read_text(encoding="ascii")
+    rows = parse_event_log(text)
+    want = reference_fold.compute_windows(rows, 0, 300.0)
+    assert compute_windows(split_kinds(rows), 0, 300.0) == want
+    # The run folded its log; aggregate_logs folds its events.csv.
+    assert RunMetrics(**{f.name: getattr(result, f.name) for f in fields(RunMetrics)}) == want
+    aggregated = aggregate_logs(text)
+    assert aggregated == reference_fold.compute_windows(rows, 0, WINDOW_S)
+    assert aggregated.totals() == result.totals() == want.totals()
+    assert (aggregated.hits, aggregated.misses) == (result.hits, result.misses)
+
+
+@pytest.mark.parametrize("value", ["x", ""])
+def test_a_bad_ttl_value_fails_the_fold_on_both_inputs(value):
+    rows = [EventRow(0, "client", "GetValue", "ok"), EventRow(NS, "cache", "GetValue", "hit"),
+            EventRow(2 * NS, "estimator", "GetValue", "estimate", value)]
+    log = EventLog()
+    for row in rows:
+        log.record(*row)
+    for stamped in (log.stamped_kinds(), split_kinds(rows)):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            compute_windows(stamped, 0, 30.0)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        reference_fold.compute_windows(rows, 0, 30.0)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        aggregate_logs(log.render())
 
 
 # --- experiment config ---
@@ -735,6 +769,37 @@ def test_run_suite_layout_and_scatter(tmp_path):
     assert len(lines) == 1 + 4  # header + 2 configs x 2 phases
     assert lines[1].startswith("static-1,1,0,")  # canonical order, static first
     assert load_results(tmp_path)[0].config_id == "adaptive-0.5"  # path order
+
+
+def test_run_suite_runs_each_algorithm_phase_and_seed_once(tmp_path):
+    outcome = run_suite(["static-1"], ["0", "0"], [1, 1], 5.0, tmp_path / "repeats")
+    assert [(r.config_id, r.phase_tag, r.seed) for r in outcome.results] == [("static-1", "0", 1)]
+    # Two spellings of one algorithm run once, under the first one listed.
+    ids = ["static-7", "static-07", "adaptive-0.50", "dynamic-adaptive-0.5", "adaptive-0.5"]
+    outcome = run_suite(ids, ["0"], [1], 5.0, tmp_path / "spellings")
+    assert [r.config_id for r in outcome.results] == ["adaptive-0.50", "static-7"]
+    assert sorted(p.name for p in (tmp_path / "spellings").iterdir()) == [
+        "adaptive-0.50", "scatter.csv", "static-7"
+    ]
+
+
+def test_a_finished_run_keeps_a_few_kilobytes(tmp_path):
+    # What a suite keeps per run: its result, with 120 windows. As one
+    # object per window and per float it was about 25 KB; as three columns
+    # of doubles it is about 4 KB.
+    tracemalloc.start()
+    try:
+        outcome = run_suite(["static-1"], ["pi2"], [1, 2], 1800.0, tmp_path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        runs = len(outcome.results)
+        del outcome
+        gc.collect()
+        per_run = (kept - tracemalloc.get_traced_memory()[0]) / runs
+    finally:
+        tracemalloc.stop()
+    assert runs == 2
+    assert per_run < 8 * 1024, f"{per_run:.0f} B kept per run"
 
 
 def test_run_suite_records_failures_and_keeps_going(tmp_path, monkeypatch):

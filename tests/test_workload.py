@@ -11,7 +11,7 @@ import pytest
 
 from meshcache.clock import NS_PER_S
 from meshcache.effects import TransportError
-from meshcache.eventlog import EventLog, EventRow
+from meshcache.eventlog import EventLog, EventRow, split_kinds
 from meshcache.harness import compute_windows
 from meshcache.sim import Simulation
 from meshcache.wire import Message
@@ -201,7 +201,7 @@ def query_outcome_rows(*outcomes):
     log = EventLog()
     for i, outcome in enumerate(outcomes):
         log.record(i * NS_PER_S, "client", "GetValue", outcome)
-    return log.rows()
+    return log.stamped_kinds()
 
 
 def test_ledger_counters():
@@ -219,7 +219,7 @@ def test_error_fraction_and_traffic_reduction():
     lookups = [EventRow(0, "cache", "GetValue", "hit")] * 17 + [
         EventRow(0, "cache", "GetValue", "miss")
     ] * 3
-    assert compute_windows(lookups, 0, 15.0).traffic_reduction == 0.85
+    assert compute_windows(split_kinds(lookups), 0, 15.0).traffic_reduction == 0.85
     with pytest.raises(ValueError):
         compute_windows([], 0, 15.0).error_fraction
     with pytest.raises(ValueError):
