@@ -14,7 +14,6 @@ from .clock import NS_PER_MS, NS_PER_S, Clock, SystemClock, VirtualClock
 from .config import (
     CONFIG_IDS,
     SuiteMatrix,
-    algorithm_parameter,
     format_estimator_config,
     parse_config_id,
     parse_matrix,
@@ -53,11 +52,7 @@ from .ttl import (
     UpdateRiskTtl,
     empty_history,
     estimate,
-    estimate_adaptive,
-    estimate_static,
-    estimate_update_risk,
     observe,
-    required_history_depth,
 )
 from .wire import (
     MAX_FRAME_LEN,

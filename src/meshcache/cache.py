@@ -12,8 +12,10 @@ exact, so two requests share an entry only if both fields are equal, and
 it holds a reference to the request's payload. Python caches the hash of
 a bytes object, so a repeated request hashes its payload once.
 
-Freshness is decided lazily at lookup; expire_scan() exists only to
-bound memory and never affects correctness.
+Freshness is decided lazily at lookup, which deletes an expired entry
+when its key comes back. expire_scan() drops every expired entry at once
+and never affects correctness, but no program path calls it, so an
+expired entry whose key is not looked up again stays in the store.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     expirations: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
 
 
 @lru_cache(maxsize=MAX_AGE_CACHE_SIZE)

@@ -127,7 +127,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     for log_path in logs:
         rel = str(log_path.parent.relative_to(root)) or "."
         try:
-            metrics = aggregate_logs(log_path.read_text(encoding="ascii"))
+            metrics = aggregate_logs(log_path)
         except ValueError as exc:
             print(f"{log_path}: {exc}", file=sys.stderr)
             return 1

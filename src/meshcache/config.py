@@ -6,8 +6,8 @@ string parses the same way. The number is a plain ASCII decimal, digits
 for static and digits with an optional ".digits" fraction for the other
 families, so no other spelling runs one algorithm under a second name.
 CONFIG_IDS names the evaluation suite's twelve ids in the order results
-are reported. A "dynamic-" prefix on the adaptive/updaterisk families is
-accepted as an alias and normalized away.
+are reported. A "dynamic-" prefix on any family's id ("dynamic-static-1",
+"dynamic-adaptive-0.25") is accepted as an alias and normalized away.
 
 Two flat text formats live here as well: the estimator sidecar's
 key=value settings, which the harness writes to each run's estimator.cfg
@@ -82,32 +82,15 @@ def canonical_order(config_id: str) -> tuple[int, str]:
     return len(CONFIG_IDS), canonical
 
 
-def algorithm_parameter(algorithm: AlgorithmConfig) -> float:
-    """The scalar knob of an algorithm (beta, alpha, or rho)."""
-    if isinstance(algorithm, StaticTtl):
-        return float(algorithm.beta)
-    if isinstance(algorithm, AdaptiveTtl):
-        return algorithm.alpha
-    if isinstance(algorithm, UpdateRiskTtl):
-        return algorithm.rho
-    raise TypeError(f"unknown algorithm config {algorithm!r}")
-
-
 def format_estimator_config(
     algorithm: AlgorithmConfig,
     blacklist: Sequence[str],
     housekeeping_after_s: float,
     max_ttl_cap: int | None,
 ) -> str:
-    """The estimator's settings as key=value lines, one per setting."""
-    if isinstance(algorithm, StaticTtl):
-        lines = ["algorithm=static", f"beta={algorithm.beta}"]
-    elif isinstance(algorithm, AdaptiveTtl):
-        lines = ["algorithm=adaptive", f"alpha={algorithm.alpha!r}"]
-    elif isinstance(algorithm, UpdateRiskTtl):
-        lines = ["algorithm=updaterisk", f"rho={algorithm.rho!r}", f"k={algorithm.k}"]
-    else:
-        raise TypeError(f"unknown algorithm config {algorithm!r}")
+    """The estimator's settings as key=value lines, one per setting: the
+    algorithm's own lines, then the three every family shares."""
+    lines = algorithm.config_lines()
     lines.append("blacklist=" + ",".join(blacklist))
     lines.append(f"housekeeping_after={housekeeping_after_s!r}")
     lines.append(f"max_ttl_cap={'none' if max_ttl_cap is None else max_ttl_cap}")

@@ -40,7 +40,6 @@ from .ttl import (
     empty_history,
     estimate,
     observe,
-    required_history_depth,
 )
 from .wire import STATUS_OK, Message, validate_method_name
 
@@ -115,7 +114,7 @@ class Estimator:
         self._blacklist = validate_blacklist(blacklist)
         self._housekeeping_after_ns = seconds_to_ns(housekeeping_after_s)
         self._max_ttl_cap = max_ttl_cap
-        self._depth = required_history_depth(algorithm)
+        self._depth = algorithm.history_depth
         self._table: dict[tuple[str, bytes], ObservationHistory] = {}
 
     @property

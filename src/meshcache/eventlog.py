@@ -12,8 +12,7 @@ share one kind tuple, and a run has a few dozen kinds against tens of
 thousands of rows, so a row costs two references. It also leaves the
 cyclic garbage collector nothing per row to track. stamped_kinds() hands
 the rows out as (timestamp, kind) pairs, the input of the harness's
-fold; rows() hands them out as EventRows, and iterating the log yields
-the plain tuple of each row's five fields. The log has no lock: both
+fold; rows() hands them out as EventRows. The log has no lock: both
 backends run every component that records on one thread (the virtual
 scheduler's, or the TCP backend's loop), and callers read the rows once
 the run has ended.
@@ -47,9 +46,6 @@ class EventRow(NamedTuple):
 # Builds an EventRow from the tuple of its fields, skipping the field
 # constructor's argument handling.
 _new = tuple.__new__
-
-# The plain tuple of an EventRow's fields, as iterating the log yields it.
-RowFields = tuple[int, str, str, str, str]
 
 # A row's kind: (component, method, event, value).
 RowKind = tuple[str, str, str, str]
@@ -88,9 +84,6 @@ class EventLog:
     def rows(self) -> list[EventRow]:
         return [_new(EventRow, (ts, *kind)) for ts, kind in self.stamped_kinds()]
 
-    def __iter__(self) -> Iterator[RowFields]:
-        return ((ts, *kind) for ts, kind in self.stamped_kinds())
-
     def _blocks(self) -> Iterator[str]:
         """CSV text of up to WRITE_BLOCK_ROWS rows at a time, in record order."""
         # ",component,method,event,value\n" of every kind, formatted once.
@@ -111,9 +104,9 @@ class EventLog:
                 fh.write(block)
 
 
-def split_kinds(rows: Iterable[RowFields]) -> Iterator[tuple[int, RowKind]]:
-    """Five-field rows (EventRows, say) as the (timestamp_ns, kind) pairs
-    EventLog.stamped_kinds() yields."""
+def split_kinds(rows: Iterable[EventRow]) -> Iterator[tuple[int, RowKind]]:
+    """EventRows as the (timestamp_ns, kind) pairs EventLog.stamped_kinds()
+    yields."""
     return ((ts, (component, method, event, value))
             for ts, component, method, event, value in rows)
 
@@ -136,11 +129,15 @@ def parse_event_row(line: str, row_number: int) -> EventRow:
     return EventRow(timestamp_ns, component, method, event, value)
 
 
+def parse_event_lines(lines: Iterable[str]) -> Iterator[EventRow]:
+    """Parse CSV lines into rows one at a time, skipping blank lines; errors
+    carry 1-based row numbers. A line may still end in its line break, as
+    the lines of an open file do."""
+    for i, line in enumerate(lines, start=1):
+        if line.strip():
+            yield parse_event_row(line.rstrip("\r\n"), i)
+
+
 def parse_event_log(text: str) -> list[EventRow]:
     """Parse CSV text back into rows; errors carry 1-based row numbers."""
-    rows = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rows.append(parse_event_row(line, i))
-    return rows
+    return list(parse_event_lines(text.splitlines()))

@@ -45,7 +45,7 @@ from pathlib import Path
 
 from .cache import Cache, CacheStats
 from .clock import Clock, SystemClock, seconds_to_ns
-from .config import algorithm_parameter, canonical_order, format_estimator_config, parse_config_id
+from .config import canonical_order, format_estimator_config, parse_config_id
 from .effects import Handler, Link, Sleep
 from .estimator import (
     DEFAULT_HOUSEKEEPING_AFTER_S,
@@ -54,7 +54,7 @@ from .estimator import (
     validate_housekeeping_after,
     validate_max_ttl_cap,
 )
-from .eventlog import EventLog, EventRow, RowKind, parse_event_log, split_kinds
+from .eventlog import EventLog, EventRow, RowKind, parse_event_lines, split_kinds
 from .sim import Simulation
 from .tcp import ServerHandle, TcpLink, run_actors, serve
 from .ttl import DEFAULT_MAX_TTL_CAP, AlgorithmConfig
@@ -497,13 +497,19 @@ def run_scripted_trace(
     return log.rows()
 
 
-def aggregate_logs(text: str) -> RunMetrics:
-    """Recompute run metrics from raw CSV text (errors name the row).
+def aggregate_logs(source: str | Path | Iterable[str]) -> RunMetrics:
+    """Recompute run metrics from an events.csv, given its path or an open
+    text file (errors name the row).
 
-    The whole log folds into one window. A log without a completed query
-    or a cache lookup raises ValueError here, not at first use of a ratio.
+    The rows fold one at a time as they are parsed, so the fold holds one
+    line of the file, not the file. The whole log folds into one window. A
+    log without a completed query or a cache lookup raises ValueError here,
+    not at first use of a ratio.
     """
-    metrics = compute_windows(split_kinds(parse_event_log(text)), 0, WINDOW_S)
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="ascii") as fh:
+            return aggregate_logs(fh)
+    metrics = compute_windows(split_kinds(parse_event_lines(source)), 0, WINDOW_S)
     metrics.totals()  # validates both ratios
     return metrics
 
@@ -542,7 +548,7 @@ def scatter_lines(results: Sequence[ExperimentResult]) -> list[str]:
     )
     lines = ["config_id,parameter,phase_shift,traffic_reduction,error_fraction"]
     for (config_id, phase_tag), members in ordered:
-        parameter = algorithm_parameter(parse_config_id(config_id)[1])
+        parameter = parse_config_id(config_id)[1].parameter
         mean_tr = sum(r.traffic_reduction for r in members) / len(members)
         mean_ef = sum(r.error_fraction for r in members) / len(members)
         lines.append(

@@ -20,8 +20,13 @@ than estimated) and clamped to an optional upper cap. Until an estimator
 has the history it needs (one change for adaptive, k changes for
 update-risk) it returns 0: unknown objects are not cached.
 
-Everything here is pure: observe() returns a new history, and the
-estimators are functions of (config, history, now).
+Each algorithm is one frozen record that carries everything its family
+decides: ttl(), its rule; history_depth, the change timestamps that rule
+needs kept; parameter, its scalar knob (beta, alpha or rho) for the
+suite's scatter.csv; and config_lines(), its own estimator.cfg lines.
+
+Everything here is pure: observe() returns a new history, and ttl() is a
+function of (config, history, now, cap).
 """
 
 from __future__ import annotations
@@ -41,10 +46,22 @@ class StaticTtl:
     """Fixed TTL of beta seconds; beta=0 disables caching entirely."""
 
     beta: int
+    history_depth = 1
 
     def __post_init__(self) -> None:
         if self.beta < 0:
             raise ValueError("beta must be >= 0 seconds")
+
+    @property
+    def parameter(self) -> float:
+        return float(self.beta)
+
+    def ttl(self, history: ObservationHistory, now_ns: int, max_ttl_cap: int | None) -> int:
+        """beta, regardless of history and of the cap."""
+        return self.beta
+
+    def config_lines(self) -> list[str]:
+        return ["algorithm=static", f"beta={self.beta}"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +69,24 @@ class AdaptiveTtl:
     """Linear acceptance of staleness relative to the age of the last change."""
 
     alpha: float
+    history_depth = 1
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
+
+    @property
+    def parameter(self) -> float:
+        return self.alpha
+
+    def ttl(self, history: ObservationHistory, now_ns: int, max_ttl_cap: int | None) -> int:
+        if not history.change_timestamps:
+            return 0
+        age_s = ns_to_seconds(now_ns - history.change_timestamps[-1])
+        return _clamp(age_s * self.alpha, max_ttl_cap)
+
+    def config_lines(self) -> list[str]:
+        return ["algorithm=adaptive", f"alpha={self.alpha!r}"]
 
 
 @dataclass(frozen=True)
@@ -71,15 +102,25 @@ class UpdateRiskTtl:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
+    @property
+    def history_depth(self) -> int:
+        return self.k
+
+    @property
+    def parameter(self) -> float:
+        return self.rho
+
+    def ttl(self, history: ObservationHistory, now_ns: int, max_ttl_cap: int | None) -> int:
+        if len(history.change_timestamps) < self.k:
+            return 0
+        bud_s = ns_to_seconds(now_ns - history.change_timestamps[-self.k])
+        return _clamp(-(bud_s / self.k) * math.log(1.0 - self.rho), max_ttl_cap)
+
+    def config_lines(self) -> list[str]:
+        return ["algorithm=updaterisk", f"rho={self.rho!r}", f"k={self.k}"]
+
 
 AlgorithmConfig = Union[StaticTtl, AdaptiveTtl, UpdateRiskTtl]
-
-
-def required_history_depth(config: AlgorithmConfig) -> int:
-    """Change timestamps a history must retain for this estimator."""
-    if isinstance(config, UpdateRiskTtl):
-        return config.k
-    return 1
 
 
 class _HistoryFields(NamedTuple):
@@ -158,50 +199,11 @@ def _clamp(value: float, max_ttl_cap: int | None) -> int:
     return ttl if ttl > 0 else 0
 
 
-def estimate_static(
-    config: StaticTtl,
-    history: ObservationHistory,
-    now_ns: int,
-) -> int:
-    """beta, regardless of history."""
-    return config.beta
-
-
-def estimate_adaptive(
-    config: AdaptiveTtl,
-    history: ObservationHistory,
-    now_ns: int,
-    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
-) -> int:
-    if not history.change_timestamps:
-        return 0
-    age_s = ns_to_seconds(now_ns - history.change_timestamps[-1])
-    return _clamp(age_s * config.alpha, max_ttl_cap)
-
-
-def estimate_update_risk(
-    config: UpdateRiskTtl,
-    history: ObservationHistory,
-    now_ns: int,
-    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
-) -> int:
-    if len(history.change_timestamps) < config.k:
-        return 0
-    bud_s = ns_to_seconds(now_ns - history.change_timestamps[-config.k])
-    return _clamp(-(bud_s / config.k) * math.log(1.0 - config.rho), max_ttl_cap)
-
-
 def estimate(
     config: AlgorithmConfig,
     history: ObservationHistory,
     now_ns: int,
     max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
 ) -> int:
-    """Dispatch to the estimator named by the config."""
-    if isinstance(config, StaticTtl):
-        return estimate_static(config, history, now_ns)
-    if isinstance(config, AdaptiveTtl):
-        return estimate_adaptive(config, history, now_ns, max_ttl_cap)
-    if isinstance(config, UpdateRiskTtl):
-        return estimate_update_risk(config, history, now_ns, max_ttl_cap)
-    raise TypeError(f"unknown algorithm config {config!r}")
+    """The TTL the config's own rule gives for this history at now_ns."""
+    return config.ttl(history, now_ns, max_ttl_cap)

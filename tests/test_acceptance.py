@@ -48,8 +48,7 @@ from meshcache.ttl import (
     ObservationHistory,
     UpdateRiskTtl,
     empty_history,
-    estimate_adaptive,
-    estimate_update_risk,
+    estimate,
     observe,
 )
 from meshcache.wire import DecodeError, Message, decode, encode
@@ -261,8 +260,8 @@ def test_criterion_05_k1_equivalence_property(capsys):
         now = t + int(rng.integers(0, 10**12))
         cap = [None, 30, int(rng.integers(1, 100))][int(rng.integers(0, 3))]
         rho = 1.0 - math.exp(-alpha)
-        a = estimate_adaptive(AdaptiveTtl(alpha), history, now, max_ttl_cap=cap)
-        u = estimate_update_risk(UpdateRiskTtl(rho, k=1), history, now, max_ttl_cap=cap)
+        a = estimate(AdaptiveTtl(alpha), history, now, max_ttl_cap=cap)
+        u = estimate(UpdateRiskTtl(rho, k=1), history, now, max_ttl_cap=cap)
         cases += 1
         if a == u:
             continue
@@ -282,14 +281,14 @@ def test_criterion_05_k1_equivalence_property(capsys):
 
 def test_criterion_06_hand_checked_estimates(capsys):
     h1 = observe(empty_history(1), 0, b"x")
-    adaptive_example = estimate_adaptive(AdaptiveTtl(0.5), h1, 10 * NS_PER_S)
+    adaptive_example = estimate(AdaptiveTtl(0.5), h1, 10 * NS_PER_S)
 
     h2 = observe(empty_history(2), 0, b"x")
     h2 = observe(h2, 12 * NS_PER_S, b"y")
-    risk_example = estimate_update_risk(UpdateRiskTtl(0.5, k=2), h2, 20 * NS_PER_S)
+    risk_example = estimate(UpdateRiskTtl(0.5, k=2), h2, 20 * NS_PER_S)
 
     zero_rho = [
-        estimate_update_risk(UpdateRiskTtl(0.0, k=2), h2, now_ns)
+        estimate(UpdateRiskTtl(0.0, k=2), h2, now_ns)
         for now_ns in (20 * NS_PER_S, 1000 * NS_PER_S)
     ]
     ok = adaptive_example == 5 and risk_example == 6 and zero_rho == [0, 0]

@@ -152,7 +152,6 @@ def test_hits_plus_misses_equals_requests():
         clock.advance_to(i * NS_PER_S)
         lookup(cache, clock)
     stats = cache.snapshot_stats()
-    assert stats.requests == 10
     assert stats.hits + stats.misses == 10
 
 

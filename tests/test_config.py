@@ -9,7 +9,6 @@ from meshcache.config import (
     CONFIG_IDS,
     DEFAULT_SEEDS,
     SuiteMatrix,
-    algorithm_parameter,
     canonical_order,
     format_estimator_config,
     parse_config_id,
@@ -69,6 +68,8 @@ def test_parse_predefined_ids(config_id):
 def test_dynamic_prefix_is_normalized_away():
     assert parse_config_id("dynamic-adaptive-0.5") == ("adaptive-0.5", AdaptiveTtl(0.5))
     assert parse_config_id("dynamic-updaterisk-0.1")[0] == "updaterisk-0.1"
+    # Every family takes the prefix, static too.
+    assert parse_config_id("dynamic-static-1") == ("static-1", StaticTtl(1))
 
 
 def test_generic_family_parameter_ids_parse():
@@ -108,9 +109,9 @@ def test_canonical_order_matches_the_table_then_names():
 
 
 def test_algorithm_parameter_extracts_the_knob():
-    assert algorithm_parameter(StaticTtl(30)) == 30.0
-    assert algorithm_parameter(AdaptiveTtl(0.25)) == 0.25
-    assert algorithm_parameter(UpdateRiskTtl(0.75)) == 0.75
+    assert StaticTtl(30).parameter == 30.0 and isinstance(StaticTtl(30).parameter, float)
+    assert AdaptiveTtl(0.25).parameter == 0.25
+    assert UpdateRiskTtl(0.75).parameter == 0.75
 
 
 # --- estimator config text ---

@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import io
 import json
 import math
 import os
@@ -159,7 +160,7 @@ def test_positional_fold_matches_the_reference_fold_on_a_run(tmp_path):
     assert compute_windows(split_kinds(rows), 0, 300.0) == want
     # The run folded its log; aggregate_logs folds its events.csv.
     assert RunMetrics(**{f.name: getattr(result, f.name) for f in fields(RunMetrics)}) == want
-    aggregated = aggregate_logs(text)
+    aggregated = aggregate_logs(tmp_path / "events.csv")
     assert aggregated == reference_fold.compute_windows(rows, 0, WINDOW_S)
     assert aggregated.totals() == result.totals() == want.totals()
     assert (aggregated.hits, aggregated.misses) == (result.hits, result.misses)
@@ -178,7 +179,7 @@ def test_a_bad_ttl_value_fails_the_fold_on_both_inputs(value):
     with pytest.raises(ValueError, match="could not convert string to float"):
         reference_fold.compute_windows(rows, 0, 30.0)
     with pytest.raises(ValueError, match="could not convert string to float"):
-        aggregate_logs(log.render())
+        aggregate_logs(io.StringIO(log.render()))
 
 
 # --- experiment config ---
@@ -319,7 +320,7 @@ def test_log_aggregation_agrees_with_in_memory_counters(tmp_path):
     for name, cfg in configs.items():
         run_experiment(cfg, tmp_path / name)
         result = json.loads((tmp_path / name / "result.json").read_text())
-        metrics = aggregate_logs((tmp_path / name / "events.csv").read_text())
+        metrics = aggregate_logs(tmp_path / name / "events.csv")
         assert metrics.hits == result["cache"]["hits"], name
         assert metrics.misses == result["cache"]["misses"], name
         assert metrics.error_fraction == result["error_fraction"], name
@@ -491,7 +492,7 @@ def test_real_clock_backend_smoke(tmp_path):
     result = run_experiment(cfg, tmp_path)
     assert result.clock_mode == "real"
     assert result.total_queries > 0
-    metrics = aggregate_logs((tmp_path / "events.csv").read_text())
+    metrics = aggregate_logs(tmp_path / "events.csv")
     assert metrics.hits == result.cache_stats.hits
     assert metrics.misses == result.cache_stats.misses
 
@@ -573,9 +574,10 @@ def test_benchmark_trace_hooks_reach_a_run():
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout.splitlines()[-1])
     assert (report["caches"], report["estimators"]) == (1, 1)
-    assert {"harness.compute_windows", "workload.actor", "cache.handle_miss"} <= set(
-        report["spans"]
-    )
+    assert {
+        "harness.compute_windows", "workload.actor", "cache.handle_miss",
+        "ttl.estimate", "ttl.observe",
+    } <= set(report["spans"])
 
 
 # --- scripted traces vs the straight-line oracle ---
@@ -674,7 +676,7 @@ SAMPLE_LOG = """\
 
 
 def test_aggregate_logs_hand_checked():
-    metrics = aggregate_logs(SAMPLE_LOG)
+    metrics = aggregate_logs(io.StringIO(SAMPLE_LOG))
     assert metrics.hits == 2 and metrics.misses == 1
     assert metrics.traffic_reduction == 2 / 3
     assert metrics.total_queries == 3  # the errored query is excluded
@@ -686,9 +688,51 @@ def test_aggregate_logs_hand_checked():
 def test_aggregate_requires_signal():
     # aggregate_logs folds the rows and checks both ratios before returning.
     with pytest.raises(ValueError, match="no completed queries"):
-        aggregate_logs("0,client,GetValue,error,\n")
+        aggregate_logs(io.StringIO("0,client,GetValue,error,\n"))
     with pytest.raises(ValueError, match="no cache lookups"):
-        aggregate_logs("0,client,GetValue,ok,\n")
+        aggregate_logs(io.StringIO("0,client,GetValue,ok,\n"))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_aggregating_a_file_keeps_row_numbers_for_every_line_ending(tmp_path, newline):
+    path = tmp_path / "events.csv"
+    path.write_bytes(SAMPLE_LOG.replace("\n", newline).encode("ascii"))
+    assert aggregate_logs(path) == aggregate_logs(io.StringIO(SAMPLE_LOG))
+    # A blank line still counts: the bad row is the file's third line.
+    bad = ("0,cache,GetValue,miss,", "", "1,cache,GetValue", "2,client,GetValue,ok,")
+    path.write_bytes(newline.join(bad).encode("ascii"))
+    with pytest.raises(ValueError, match=r"^row 3: expected 5 comma-separated fields, got 3$"):
+        aggregate_logs(path)
+    path.write_bytes(newline.join(("0,cache,GetValue,miss,", "", "", "x,c,m,e,")).encode())
+    with pytest.raises(ValueError, match=r"^row 4: bad timestamp 'x'$"):
+        aggregate_logs(str(path))
+
+
+def test_aggregating_a_file_holds_a_row_not_the_file(tmp_path):
+    # One window and a few kinds: the fold's own state is a few counters
+    # and one classified step per kind, so reading the file row by row
+    # holds about as much for ten times the rows.
+    kinds = (
+        "cache,GetValue,miss,", "estimator,GetValue,estimate,7", "client,GetValue,ok,",
+        "cache,GetValue,hit,", "client,GetValue,stale,", "client,SetValue,ok,",
+    )
+
+    def peak_for(rows):
+        path = tmp_path / f"events-{rows}.csv"
+        with open(path, "w", encoding="ascii") as fh:
+            for i in range(rows):
+                fh.write(f"{i * 1000},{kinds[i % len(kinds)]}\n")
+        tracemalloc.start()
+        try:
+            metrics = aggregate_logs(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics.hits + metrics.misses == rows // 3
+        return peak
+
+    short, long = peak_for(3_000), peak_for(30_000)
+    assert long < 2 * short, (short, long)
 
 
 # --- scatter and result files ---

@@ -98,8 +98,6 @@ def test_event_log_rows_match_the_field_constructor():
     same_value(
         second, EventRow(timestamp_ns=6, component="cache", method="GetValue", event="hit")
     )
-    # Iterating the log gives the same rows as plain tuples, for the fold.
-    assert [type(row) for row in log] == [tuple, tuple] and list(log) == [first, second]
 
 
 def test_histories_from_observe_match_the_validating_constructor():

@@ -14,11 +14,7 @@ from meshcache.ttl import (
     UpdateRiskTtl,
     empty_history,
     estimate,
-    estimate_adaptive,
-    estimate_static,
-    estimate_update_risk,
     observe,
-    required_history_depth,
 )
 
 
@@ -57,10 +53,10 @@ def test_update_risk_rejects_k_below_one():
 
 
 def test_required_history_depth():
-    assert required_history_depth(StaticTtl(5)) == 1
-    assert required_history_depth(AdaptiveTtl(0.5)) == 1
-    assert required_history_depth(UpdateRiskTtl(0.5)) == 2
-    assert required_history_depth(UpdateRiskTtl(0.5, k=7)) == 7
+    assert StaticTtl(5).history_depth == 1
+    assert AdaptiveTtl(0.5).history_depth == 1
+    assert UpdateRiskTtl(0.5).history_depth == 2
+    assert UpdateRiskTtl(0.5, k=7).history_depth == 7
 
 
 # --- observation history ---
@@ -105,7 +101,7 @@ def test_two_changes_at_the_same_instant_are_both_recorded():
     # instant, so update-risk's k-th change is now and the estimate is 0.
     h = observe(observe(empty_history(2), 1000, b"a"), 1000, b"b")
     assert h.change_timestamps == (1000, 1000) and h.last_digest == b"b"
-    assert estimate_update_risk(UpdateRiskTtl(0.5), h, 1000) == 0
+    assert estimate(UpdateRiskTtl(0.5), h, 1000) == 0
     assert ObservationHistory(2, b"b", (1000, 1000)).change_timestamps == (1000, 1000)
 
 
@@ -128,8 +124,8 @@ def test_static_returns_beta_for_any_history():
     empty = empty_history(1)
     seen = history_with_changes(1, [12.0])
     for beta in (0, 1, 10, 30, 7):
-        assert estimate_static(StaticTtl(beta), empty, 0) == beta
-        assert estimate_static(StaticTtl(beta), seen, 99 * NS_PER_S) == beta
+        assert estimate(StaticTtl(beta), empty, 0) == beta
+        assert estimate(StaticTtl(beta), seen, 99 * NS_PER_S) == beta
 
 
 def test_static_ignores_the_cap():
@@ -142,25 +138,25 @@ def test_static_ignores_the_cap():
 
 
 def test_adaptive_empty_history_is_zero():
-    assert estimate_adaptive(AdaptiveTtl(0.5), empty_history(1), 10 * NS_PER_S) == 0
+    assert estimate(AdaptiveTtl(0.5), empty_history(1), 10 * NS_PER_S) == 0
 
 
 def test_adaptive_hand_checked_values():
     h = history_with_changes(1, [0.0])
-    assert estimate_adaptive(AdaptiveTtl(0.5), h, 10 * NS_PER_S) == 5
-    assert estimate_adaptive(AdaptiveTtl(0.1), h, 25 * NS_PER_S) == 2  # floor(2.5)
+    assert estimate(AdaptiveTtl(0.5), h, 10 * NS_PER_S) == 5
+    assert estimate(AdaptiveTtl(0.1), h, 25 * NS_PER_S) == 2  # floor(2.5)
 
 
 def test_adaptive_floors_not_rounds():
     h = history_with_changes(1, [0.0])
-    assert estimate_adaptive(AdaptiveTtl(0.35), h, 17 * NS_PER_S) == 5  # 5.95 -> 5
+    assert estimate(AdaptiveTtl(0.35), h, 17 * NS_PER_S) == 5  # 5.95 -> 5
 
 
 def test_adaptive_clamps_to_cap():
     h = history_with_changes(1, [0.0])
-    assert estimate_adaptive(AdaptiveTtl(1.0), h, 500 * NS_PER_S) == DEFAULT_MAX_TTL_CAP
-    assert estimate_adaptive(AdaptiveTtl(1.0), h, 500 * NS_PER_S, max_ttl_cap=7) == 7
-    assert estimate_adaptive(AdaptiveTtl(1.0), h, 500 * NS_PER_S, max_ttl_cap=None) == 500
+    assert estimate(AdaptiveTtl(1.0), h, 500 * NS_PER_S) == DEFAULT_MAX_TTL_CAP
+    assert estimate(AdaptiveTtl(1.0), h, 500 * NS_PER_S, max_ttl_cap=7) == 7
+    assert estimate(AdaptiveTtl(1.0), h, 500 * NS_PER_S, max_ttl_cap=None) == 500
 
 
 def test_adaptive_caps_an_estimate_that_overflows():
@@ -174,43 +170,45 @@ def test_adaptive_caps_an_estimate_that_overflows():
 
 def test_update_risk_needs_k_changes():
     one = history_with_changes(2, [0.0])
-    assert estimate_update_risk(UpdateRiskTtl(0.5, k=2), one, 30 * NS_PER_S) == 0
+    assert estimate(UpdateRiskTtl(0.5, k=2), one, 30 * NS_PER_S) == 0
     two = history_with_changes(2, [0.0, 10.0])
-    assert estimate_update_risk(UpdateRiskTtl(0.5, k=2), two, 30 * NS_PER_S) > 0
+    assert estimate(UpdateRiskTtl(0.5, k=2), two, 30 * NS_PER_S) > 0
 
 
 def test_update_risk_hand_checked_values():
     # Second-most-recent change 20 s ago: floor(-(20/2) * ln(0.5)) = 6,
     # and with rho=0.9: floor(10 * ln(10)) = 23.
     h = history_with_changes(2, [0.0, 12.0])
-    assert estimate_update_risk(UpdateRiskTtl(0.5, k=2), h, 20 * NS_PER_S) == 6
-    assert estimate_update_risk(UpdateRiskTtl(0.9, k=2), h, 20 * NS_PER_S) == 23
+    assert estimate(UpdateRiskTtl(0.5, k=2), h, 20 * NS_PER_S) == 6
+    assert estimate(UpdateRiskTtl(0.9, k=2), h, 20 * NS_PER_S) == 23
 
 
 def test_update_risk_zero_rho_is_always_zero():
     h = history_with_changes(2, [0.0, 50.0])
     for now_s in (50, 60, 1000):
-        assert estimate_update_risk(UpdateRiskTtl(0.0, k=2), h, now_s * NS_PER_S) == 0
+        assert estimate(UpdateRiskTtl(0.0, k=2), h, now_s * NS_PER_S) == 0
 
 
 def test_update_risk_clamps_to_cap():
     h = history_with_changes(2, [0.0, 1.0])
     cfg = UpdateRiskTtl(0.9, k=2)
-    assert estimate_update_risk(cfg, h, 1000 * NS_PER_S) == DEFAULT_MAX_TTL_CAP
-    assert estimate_update_risk(cfg, h, 1000 * NS_PER_S, max_ttl_cap=None) == 1151
+    assert estimate(cfg, h, 1000 * NS_PER_S) == DEFAULT_MAX_TTL_CAP
+    assert estimate(cfg, h, 1000 * NS_PER_S, max_ttl_cap=None) == 1151
 
 
 # --- dispatch and shared properties ---
 
 
 def test_estimate_dispatches_by_config_type():
+    # estimate() is each record's own rule, under the default cap unless
+    # one is given.
     h = history_with_changes(2, [0.0, 10.0])
     now = 20 * NS_PER_S
     assert estimate(StaticTtl(3), h, now) == 3
-    assert estimate(AdaptiveTtl(0.5), h, now) == estimate_adaptive(AdaptiveTtl(0.5), h, now)
-    cfg = UpdateRiskTtl(0.5, k=2)
-    assert estimate(cfg, h, now) == estimate_update_risk(cfg, h, now)
-    with pytest.raises(TypeError):
+    for cfg in (StaticTtl(40), AdaptiveTtl(0.5), AdaptiveTtl(9.0), UpdateRiskTtl(0.5, k=2)):
+        assert estimate(cfg, h, now) == cfg.ttl(h, now, DEFAULT_MAX_TTL_CAP)
+        assert estimate(cfg, h, now, max_ttl_cap=None) == cfg.ttl(h, now, None)
+    with pytest.raises(AttributeError):
         estimate(object(), h, now)
 
 
@@ -229,12 +227,12 @@ def test_monotone_in_alpha_and_rho():
         h = history_with_changes(2, list(stamps))
         now = int((stamps[-1] + rng.uniform(0.0, 60.0)) * NS_PER_S)
         alphas = sorted(rng.uniform(0.01, 3.0, size=2))
-        a_lo = estimate_adaptive(AdaptiveTtl(alphas[0]), h, now, max_ttl_cap=None)
-        a_hi = estimate_adaptive(AdaptiveTtl(alphas[1]), h, now, max_ttl_cap=None)
+        a_lo = estimate(AdaptiveTtl(alphas[0]), h, now, max_ttl_cap=None)
+        a_hi = estimate(AdaptiveTtl(alphas[1]), h, now, max_ttl_cap=None)
         assert a_lo <= a_hi
         rhos = sorted(rng.uniform(0.0, 0.99, size=2))
-        u_lo = estimate_update_risk(UpdateRiskTtl(rhos[0], k=2), h, now, max_ttl_cap=None)
-        u_hi = estimate_update_risk(UpdateRiskTtl(rhos[1], k=2), h, now, max_ttl_cap=None)
+        u_lo = estimate(UpdateRiskTtl(rhos[0], k=2), h, now, max_ttl_cap=None)
+        u_hi = estimate(UpdateRiskTtl(rhos[1], k=2), h, now, max_ttl_cap=None)
         assert u_lo <= u_hi
 
 
@@ -243,8 +241,8 @@ def test_k1_update_risk_matches_adaptive_spot_checks():
     h = history_with_changes(1, [5.0])
     for alpha, now_s in [(0.5, 25.0), (0.1, 300.0), (2.0, 6.5)]:
         rho = 1.0 - math.exp(-alpha)
-        a = estimate_adaptive(AdaptiveTtl(alpha), h, int(now_s * NS_PER_S), max_ttl_cap=None)
-        u = estimate_update_risk(
+        a = estimate(AdaptiveTtl(alpha), h, int(now_s * NS_PER_S), max_ttl_cap=None)
+        u = estimate(
             UpdateRiskTtl(rho, k=1), h, int(now_s * NS_PER_S), max_ttl_cap=None
         )
         assert a == u
