@@ -7,7 +7,8 @@ A run wires the four-node topology
 
 once, through a connect(handler) -> link function: under the virtual
 clock (deterministic, runs in milliseconds) it returns virtual links on
-one event loop, under the real clock TCP links to loopback servers.
+one event loop, under the real clock TCP links to loopback servers
+(tcp.connector; only a real-clock run imports the TCP backend).
 Updates go straight to the server by default; routing them through the
 cache with SetValue blacklisted is available as a fidelity option.
 
@@ -56,7 +57,6 @@ from .estimator import (
 )
 from .eventlog import EventLog, EventRow, RowKind, parse_event_lines, split_kinds
 from .sim import Simulation
-from .tcp import ServerHandle, TcpLink, run_actors, serve
 from .ttl import DEFAULT_MAX_TTL_CAP, AlgorithmConfig
 from .workload import (
     GET_METHOD,
@@ -363,19 +363,6 @@ def _wire(
     return server, estimator, cache
 
 
-def _tcp_connector(stack: ExitStack, clock: Clock) -> Callable[[Handler], Link]:
-    """connect() over loopback TCP: each handler's server starts at its first
-    connect, every connect opens a new link, and the stack closes them all."""
-    servers: dict[Handler, ServerHandle] = {}
-
-    def connect(handler: Handler) -> Link:
-        if handler not in servers:
-            servers[handler] = stack.enter_context(serve(handler, clock=clock))
-        return stack.enter_context(TcpLink(servers[handler].address))
-
-    return connect
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run one experiment to completion and return its metrics."""
     out_path: Path | None = None
@@ -390,8 +377,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             clock: Clock = sim.clock
             connect = partial(sim.virtual_link, latency_s=cfg.link_latency_s)
         else:
+            from . import tcp  # only a real-clock run loads the TCP backend
+
             clock = SystemClock()
-            connect = _tcp_connector(stack, clock)
+            connect = tcp.connector(stack, clock)
         server, estimator, cache = _wire(cfg, connect, clock, log, out_path)
         cache_link = connect(cache.handle)
         update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
@@ -419,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 sim.close()
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
-            run_actors(actors)
+            tcp.run_actors(actors)
     metrics = compute_windows(log.stamped_kinds(), start_ns, cfg.duration_s)
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(

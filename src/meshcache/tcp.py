@@ -26,6 +26,7 @@ from __future__ import annotations
 import errno
 import heapq
 import itertools
+import math
 import os
 import selectors
 import socket
@@ -35,11 +36,12 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Generator, Sequence
+from contextlib import ExitStack
 from functools import partial
 from typing import Any
 
 from .clock import Clock, SystemClock, seconds_to_ns
-from .effects import Call, Handler, Sleep, TransportError, drive, invoke_handler  # noqa: F401
+from .effects import Call, Handler, Link, Sleep, TransportError, drive, invoke_handler  # noqa: F401
 from .wire import MAX_FRAME_LEN, DecodeError, Message, OversizeFrameError, decode, encode
 
 # tcp.drive stays importable: bench/tracer.py wraps it by that name.
@@ -518,6 +520,19 @@ def serve(
     return handle
 
 
+def connector(stack: ExitStack, clock: Clock) -> Callable[[Handler], Link]:
+    """connect() over loopback TCP: each handler's server starts at its first
+    connect, every connect opens a new link, and the stack closes them all."""
+    servers: dict[Handler, ServerHandle] = {}
+
+    def connect(handler: Handler) -> Link:
+        if handler not in servers:
+            servers[handler] = stack.enter_context(serve(handler, clock=clock))
+        return stack.enter_context(TcpLink(servers[handler].address))
+
+    return connect
+
+
 def run_actors(actors: Sequence[Generator]) -> None:
     """Run effect generators on the loop and wait until all have returned.
 
@@ -568,10 +583,13 @@ class TcpLink:
     each gets the next request id and is matched to the response carrying
     it, whatever order the responses come in. send() is a blocking round
     trip on a separate connection owned by the calling thread: use one
-    link per thread, and never call it on the loop thread.
+    link per thread, and never call it on the loop thread. Either way a
+    round trip fails after timeout_s, which must be positive and finite.
     """
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 10.0) -> None:
+        if not (timeout_s > 0 and math.isfinite(timeout_s)):
+            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s!r}")
         self._address = address
         self._timeout_s = timeout_s
         self._timeout_ns = seconds_to_ns(timeout_s)

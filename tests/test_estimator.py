@@ -1,5 +1,6 @@
 """Estimator sidecar: forwarding, TTL annotation, blacklist, housekeeping."""
 
+import hashlib
 import math
 
 import pytest
@@ -55,6 +56,13 @@ def test_response_digest_is_stable_and_16_bytes():
     assert response_digest(b"abc") == response_digest(b"abc")
     assert response_digest(b"abc") != response_digest(b"abd")
     assert len(response_digest(b"")) == 16
+
+
+@pytest.mark.parametrize("size", [0, 1, 128, 129, 1 << 20])
+def test_response_digest_is_hashlib_blake2b_of_the_body(size):
+    # 128 bytes is one BLAKE2b block; 129 starts a second.
+    payload = (bytes(range(251)) * (size // 251 + 1))[:size]
+    assert response_digest(payload) == hashlib.blake2b(payload, digest_size=16).digest()
 
 
 def test_cache_key_separates_method_from_payload():

@@ -123,6 +123,13 @@ def test_link_refuses_to_send_responses():
                 link.send(Message.response("M"))
 
 
+@pytest.mark.parametrize("timeout_s", [-1.0, 0, 0.0, float("nan"), float("inf"), float("-inf")])
+def test_a_link_refuses_a_timeout_that_is_not_positive_and_finite(timeout_s):
+    # Refused when the link is built, not at the first send() or exchange().
+    with pytest.raises(ValueError, match="timeout_s"):
+        TcpLink(("127.0.0.1", 9), timeout_s=timeout_s)
+
+
 def test_server_answers_bad_frames_with_error_response():
     with serve(echo_handler) as handle:
         with socket.create_connection(handle.address, timeout=5.0) as sock:

@@ -331,22 +331,44 @@ def test_update_actor_gives_up_after_one_retry():
     assert ledger.expected_value == b"0"  # nothing published
 
 
+SUBMODULES = (
+    "cache clock config digests effects estimator eventlog harness sim tcp ttl wire workload"
+).split()
+
+# What each snippet, run in a fresh interpreter, must leave unloaded. A
+# package name loads only its own submodule, on first use: a client or a
+# sidecar loads neither numpy, OpenSSL (_hashlib), the harness nor the
+# scheduler, and a virtual-clock run loads no TCP backend.
+IMPORT_FOOTPRINTS = [
+    ("import meshcache", ["numpy", "_hashlib", *(f"meshcache.{m}" for m in SUBMODULES)]),
+    (
+        "from meshcache import Message, TcpLink, TransportError",
+        ["numpy", "_hashlib", "meshcache.harness", "meshcache.sim", "meshcache.config"],
+    ),
+    (
+        "from meshcache import Cache, Estimator, SystemClock, TcpLink, ValueServer, parse_config_id, serve",
+        ["numpy", "_hashlib", "meshcache.harness", "meshcache.sim"],
+    ),
+    (
+        "from meshcache import harness\n"
+        "harness.run_experiment(harness.ExperimentConfig('adaptive-0.25', duration_s=5.0))",
+        ["meshcache.tcp"],
+    ),
+]
+
+
 def test_the_package_and_the_sidecar_names_import_without_numpy():
     # Only the workload's RNGs need numpy, so a live sidecar starts without it.
     src = Path(__file__).resolve().parent.parent / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import meshcache\n"
-        "from meshcache import Cache, Estimator, SystemClock, TcpLink, ValueServer, parse_config_id, serve\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
+    for code, absent in IMPORT_FOOTPRINTS:
+        probe = f"{code}\nimport sys\nprint(sorted(set({absent!r}) & set(sys.modules)))\n"
+        child = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]", f"{code!r} loaded {child.stdout.strip()}"
