@@ -26,7 +26,6 @@ from __future__ import annotations
 import errno
 import heapq
 import itertools
-import math
 import os
 import selectors
 import socket
@@ -51,6 +50,10 @@ _RECV_SIZE = 65536
 # A server out of file descriptors tries to accept again after this long,
 # unless one of its own connections closes first.
 _ACCEPT_RETRY_NS = 100_000_000
+# The longest TcpLink timeout, about 11.6 days. The loop waits for a link's
+# deadline in epoll_wait, which takes at most 2**31 - 1 ms (24.8 days), and
+# a blocking socket's timeout must fit the platform's time_t.
+MAX_TIMEOUT_S = 1e6
 
 
 class _FrameReader:
@@ -584,12 +587,15 @@ class TcpLink:
     it, whatever order the responses come in. send() is a blocking round
     trip on a separate connection owned by the calling thread: use one
     link per thread, and never call it on the loop thread. Either way a
-    round trip fails after timeout_s, which must be positive and finite.
+    round trip fails after timeout_s, which must be positive and at most
+    MAX_TIMEOUT_S.
     """
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 10.0) -> None:
-        if not (timeout_s > 0 and math.isfinite(timeout_s)):
-            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s!r}")
+        if not 0 < timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(
+                f"timeout_s must be positive and at most {MAX_TIMEOUT_S:g} s, got {timeout_s!r}"
+            )
         self._address = address
         self._timeout_s = timeout_s
         self._timeout_ns = seconds_to_ns(timeout_s)

@@ -17,9 +17,11 @@ harness's scripted traces replay the same steps at fixed instants.
 Request pacing for both actors is a Poisson arrival process riding a
 sinusoid: each inter-request gap is an exponential draw at the
 instantaneous rate (mean 1000 / rate_at(t) ms), rounded to a whole
-number of milliseconds and clamped to >= 1. Each actor takes its draws
-from its RNG in blocks (ExponentialGaps), the same stream as one draw per
-gap.
+number of milliseconds and clamped to >= 1. The two actors' streams are
+numpy's SeedSequence(seed).spawn(2) -> PCG64 -> standard_exponential,
+computed bit for bit in pure Python by meshcache.rng, so a run needs no
+numpy. Each actor takes its draws in blocks (ExponentialGaps), the same
+stream as one draw per gap.
 
 Nothing that is the same for every request is built per request: the
 GetValue request, the server's SetValue ack and its GetValue response
@@ -47,7 +49,7 @@ from .eventlog import EventLog
 from .wire import STATUS_OK, Message
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import ExponentialStream
 
 GET_METHOD = "GetValue"
 SET_METHOD = "SetValue"
@@ -63,7 +65,7 @@ PHASE_SHIFTS: dict[str, float] = {
 
 DEFAULT_PERIOD_S = 1800.0
 
-# Standard exponential draws an actor takes from its RNG per numpy call.
+# Standard exponential draws an actor takes from its stream per refill.
 # Small, so a run's draws ahead of need stay a few kilobytes.
 GAP_BLOCK = 256
 
@@ -128,18 +130,16 @@ class WorkloadConfig:
             UPDATE_SINUSOID, period_s=self.duration_s, phase=PHASE_SHIFTS[self.phase_tag]
         )
 
-    def actor_rngs(self) -> tuple[np.random.Generator, np.random.Generator]:
-        """Independent (query, update) RNG streams from the run seed.
+    def actor_rngs(self) -> tuple[ExponentialStream, ExponentialStream]:
+        """Independent (query, update) streams from the run seed: children 0
+        and 1 of numpy's SeedSequence(seed).spawn(2).
 
-        numpy is imported here, not with the module, so a process that
-        only serves (a live sidecar) starts without it.
+        The generator is imported here, not with the module, so a process
+        that only serves (a live sidecar) never loads it.
         """
-        import numpy as np
+        from .rng import ExponentialStream
 
-        query_ss, update_ss = np.random.SeedSequence(self.seed).spawn(2)
-        return np.random.Generator(np.random.PCG64(query_ss)), np.random.Generator(
-            np.random.PCG64(update_ss)
-        )
+        return ExponentialStream(self.seed, 0), ExponentialStream(self.seed, 1)
 
 
 def rate_at(cfg: SinusoidConfig, t_s: float) -> float:
@@ -149,26 +149,24 @@ def rate_at(cfg: SinusoidConfig, t_s: float) -> float:
 
 
 class ExponentialGaps:
-    """One RNG's exponential draws, taken GAP_BLOCK at a time.
+    """One stream's exponential draws, taken GAP_BLOCK at a time.
 
-    exponential(scale) is bitwise rng.exponential(scale): numpy scales one
-    standard exponential draw by scale, and a block of standard draws is
-    the same stream as single draws.
+    exponential(scale) is bitwise numpy's Generator.exponential(scale) on
+    the same stream: numpy scales one standard exponential draw by scale,
+    and a block of standard draws is the same stream as single draws.
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: ExponentialStream) -> None:
         self._rng = rng
         self._draws: list[float] = []
 
     def exponential(self, scale: float) -> float:
         if not self._draws:
-            self._draws = self._rng.standard_exponential(GAP_BLOCK).tolist()[::-1]
+            self._draws = self._rng.standard_exponential(GAP_BLOCK)[::-1]
         return scale * self._draws.pop()
 
 
-def next_delay_ms(
-    cfg: SinusoidConfig, t_s: float, rng: np.random.Generator | ExponentialGaps
-) -> int:
+def next_delay_ms(cfg: SinusoidConfig, t_s: float, rng: ExponentialGaps) -> int:
     """Poisson-process inter-request delay in whole milliseconds, at least 1."""
     mean_ms = 1000.0 / rate_at(cfg, t_s)
     delay_ms = int(round(rng.exponential(mean_ms)))
@@ -274,7 +272,7 @@ def query_actor(
     clock: Clock,
     cache_link: Link,
     ledger: StalenessLedger,
-    rng: np.random.Generator,
+    rng: ExponentialStream,
     start_ns: int,
     end_ns: int,
     log: EventLog,
@@ -292,7 +290,7 @@ def update_actor(
     clock: Clock,
     server_link: Link,
     ledger: StalenessLedger,
-    rng: np.random.Generator,
+    rng: ExponentialStream,
     start_ns: int,
     end_ns: int,
     log: EventLog,

@@ -1,6 +1,7 @@
 """Framed TCP transport: server lifecycle, link behavior, error paths."""
 
 import errno
+import math
 import os
 import random
 import socket
@@ -17,7 +18,7 @@ from meshcache import tcp
 from meshcache.clock import NS_PER_MS as MS
 from meshcache.clock import SystemClock
 from meshcache.effects import Call, Sleep, TransportError, drive
-from meshcache.tcp import TcpLink, _FrameReader, run_actors, serve
+from meshcache.tcp import MAX_TIMEOUT_S, TcpLink, _FrameReader, run_actors, serve
 from meshcache.wire import MAX_FRAME_LEN, Message, OversizeFrameError, decode, encode
 
 
@@ -128,6 +129,30 @@ def test_a_link_refuses_a_timeout_that_is_not_positive_and_finite(timeout_s):
     # Refused when the link is built, not at the first send() or exchange().
     with pytest.raises(ValueError, match="timeout_s"):
         TcpLink(("127.0.0.1", 9), timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize("timeout_s", [1e10, 1e12, math.nextafter(MAX_TIMEOUT_S, math.inf)])
+def test_a_link_refuses_a_timeout_above_its_bound(timeout_s):
+    # Neither the loop's epoll_wait nor a blocking socket could hold it.
+    with pytest.raises(ValueError, match="timeout_s"):
+        TcpLink(("127.0.0.1", 9), timeout_s=timeout_s)
+
+
+def test_a_link_at_its_longest_timeout_answers_blocking_and_on_the_loop():
+    with serve(echo_handler) as handle, TcpLink(handle.address, timeout_s=MAX_TIMEOUT_S) as link:
+        assert link.send(Message.request("Echo", b"blocking")).payload == b"blocking"
+        echoes = []
+
+        def actor():
+            echoes.append((yield from link.exchange(Message.request("Echo", b"loop"))))
+
+        # The loop waits for the link's deadline in select(); a wait it
+        # cannot hold would stall every request, so the wait is bounded here.
+        runner = threading.Thread(target=run_actors, args=([actor()],), daemon=True)
+        runner.start()
+        runner.join(10.0)
+        assert not runner.is_alive()
+        assert [echo.payload for echo in echoes] == [b"loop"]
 
 
 def test_server_answers_bad_frames_with_error_response():

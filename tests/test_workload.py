@@ -95,17 +95,19 @@ def test_workload_config_validation():
 def test_actor_rngs_are_deterministic_and_independent():
     a_query, a_update = WorkloadConfig(seed=5).actor_rngs()
     b_query, b_update = WorkloadConfig(seed=5).actor_rngs()
-    assert a_query.integers(0, 2**32, 4).tolist() == b_query.integers(0, 2**32, 4).tolist()
-    assert a_update.integers(0, 2**32, 4).tolist() == b_update.integers(0, 2**32, 4).tolist()
+    first_queries = a_query.standard_exponential(4)
+    assert first_queries == b_query.standard_exponential(4)
+    assert a_update.standard_exponential(4) == b_update.standard_exponential(4)
+    assert a_update.standard_exponential(4) != a_query.standard_exponential(4)
     c_query, _ = WorkloadConfig(seed=6).actor_rngs()
-    assert a_query.integers(0, 2**32, 4).tolist() != c_query.integers(0, 2**32, 4).tolist()
+    assert first_queries != c_query.standard_exponential(4)
 
 
 # --- pacing ---
 
 
 def test_delays_are_whole_positive_milliseconds():
-    rng = np.random.default_rng(0)
+    rng = ExponentialGaps(WorkloadConfig(seed=0).actor_rngs()[0])
     fast = SinusoidConfig(mean_rate=900.0, amplitude=0.0)
     draws = [next_delay_ms(fast, 0.0, rng) for _ in range(200)]
     assert all(isinstance(d, int) and d >= 1 for d in draws)
@@ -113,7 +115,7 @@ def test_delays_are_whole_positive_milliseconds():
 
 
 def test_delay_mean_tracks_the_instantaneous_rate():
-    rng = np.random.default_rng(1)
+    rng = ExponentialGaps(WorkloadConfig(seed=1).actor_rngs()[0])
     cfg = SinusoidConfig(mean_rate=5.0, amplitude=0.0)
     draws = [next_delay_ms(cfg, 0.0, rng) for _ in range(20000)]
     assert np.mean(draws) == pytest.approx(200.0, rel=0.03)
@@ -124,23 +126,34 @@ def test_delay_mean_tracks_the_instantaneous_rate():
 
 def test_delay_is_deterministic_given_the_rng_state():
     cfg = SinusoidConfig(mean_rate=2.0, amplitude=1.0)
-    a = [next_delay_ms(cfg, t, np.random.default_rng(9)) for t in (0.0, 10.0)]
-    b = [next_delay_ms(cfg, t, np.random.default_rng(9)) for t in (0.0, 10.0)]
-    assert a == b
+
+    def delays():
+        gaps = ExponentialGaps(WorkloadConfig(seed=9).actor_rngs()[0])
+        return [next_delay_ms(cfg, t, gaps) for t in (0.0, 10.0)]
+
+    assert delays() == delays()
+
+
+def numpy_actor_rng(seed, child):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[child]))
 
 
 def test_block_draws_are_the_single_draw_stream():
     # Across block boundaries and at every rate, a gap drawn from a block
-    # is bitwise the gap one rng.exponential call per request would give.
+    # is bitwise the gap one numpy rng.exponential call per request would
+    # give on the same stream, for both actors.
     cfg = SinusoidConfig(mean_rate=5.5, amplitude=4.5, period_s=60.0)
-    gaps, rng = ExponentialGaps(np.random.default_rng(8)), np.random.default_rng(8)
     times = [i * 0.037 for i in range(3 * GAP_BLOCK + 7)]
-    assert [next_delay_ms(cfg, t, gaps) for t in times] == [
-        next_delay_ms(cfg, t, rng) for t in times
-    ]
     scales = [1000.0 / rate_at(cfg, t) for t in times]
-    gaps, rng = ExponentialGaps(np.random.default_rng(8)), np.random.default_rng(8)
-    assert [gaps.exponential(s) for s in scales] == [rng.exponential(s) for s in scales]
+    for child in (0, 1):
+        gaps = ExponentialGaps(WorkloadConfig(seed=8).actor_rngs()[child])
+        rng = numpy_actor_rng(8, child)
+        assert [next_delay_ms(cfg, t, gaps) for t in times] == [
+            next_delay_ms(cfg, t, rng) for t in times
+        ]
+        gaps = ExponentialGaps(WorkloadConfig(seed=8).actor_rngs()[child])
+        rng = numpy_actor_rng(8, child)
+        assert [gaps.exponential(s) for s in scales] == [rng.exponential(s) for s in scales]
 
 
 # --- value service ---
@@ -292,7 +305,7 @@ def test_query_actor_counts_transport_failures_as_errors():
     ledger = StalenessLedger()
     log = EventLog()
     cfg = SinusoidConfig(5.0, 0.0)
-    rng = np.random.default_rng(0)
+    rng = WorkloadConfig(seed=0).actor_rngs()[0]
     sim.spawn(query_actor(cfg, sim.clock, DeadLink(), ledger, rng, 0, NS_PER_S, log))
     sim.run(until_ns=NS_PER_S)
     rows = log.rows()
@@ -306,7 +319,7 @@ def test_update_actor_retries_once_then_succeeds():
     link = FlakyLink(server)
     ledger = StalenessLedger(server.current_value())
     log = EventLog()
-    rng = np.random.default_rng(0)
+    rng = WorkloadConfig(seed=0).actor_rngs()[1]
     sim.spawn(
         update_actor(SinusoidConfig(1.0, 0.0), sim.clock, link, ledger, rng, 0, NS_PER_S, log)
     )
@@ -320,7 +333,7 @@ def test_update_actor_gives_up_after_one_retry():
     sim = Simulation()
     ledger = StalenessLedger()
     log = EventLog()
-    rng = np.random.default_rng(0)
+    rng = WorkloadConfig(seed=0).actor_rngs()[1]
     sim.spawn(
         update_actor(
             SinusoidConfig(1.0, 0.0), sim.clock, DeadLink(), ledger, rng, 0, NS_PER_S, log
@@ -337,8 +350,9 @@ SUBMODULES = (
 
 # What each snippet, run in a fresh interpreter, must leave unloaded. A
 # package name loads only its own submodule, on first use: a client or a
-# sidecar loads neither numpy, OpenSSL (_hashlib), the harness nor the
-# scheduler, and a virtual-clock run loads no TCP backend.
+# sidecar loads neither numpy, OpenSSL (_hashlib), the workload's
+# generator, the harness nor the scheduler, and a virtual-clock run loads
+# neither the TCP backend, numpy nor OpenSSL.
 IMPORT_FOOTPRINTS = [
     ("import meshcache", ["numpy", "_hashlib", *(f"meshcache.{m}" for m in SUBMODULES)]),
     (
@@ -347,18 +361,19 @@ IMPORT_FOOTPRINTS = [
     ),
     (
         "from meshcache import Cache, Estimator, SystemClock, TcpLink, ValueServer, parse_config_id, serve",
-        ["numpy", "_hashlib", "meshcache.harness", "meshcache.sim"],
+        ["numpy", "_hashlib", "meshcache.rng", "meshcache.harness", "meshcache.sim"],
     ),
     (
         "from meshcache import harness\n"
         "harness.run_experiment(harness.ExperimentConfig('adaptive-0.25', duration_s=5.0))",
-        ["meshcache.tcp"],
+        ["numpy", "_hashlib", "meshcache.tcp"],
     ),
 ]
 
 
 def test_the_package_and_the_sidecar_names_import_without_numpy():
-    # Only the workload's RNGs need numpy, so a live sidecar starts without it.
+    # No process of the package needs numpy: the workload's streams come
+    # from meshcache.rng, which only a run's actor_rngs() loads.
     src = Path(__file__).resolve().parent.parent / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     for code, absent in IMPORT_FOOTPRINTS:
