@@ -7,15 +7,19 @@ Row format, one event per line:
 value may be empty (cache hit/miss rows leave it blank). A row is an
 EventRow, a named tuple, but the log keeps no object per row. A row is
 its timestamp and its kind, the (component, method, event, value) tuple,
-and the log holds them as two slots of one flat list. Rows of one kind
-share one kind tuple, and a run has a few dozen kinds against tens of
-thousands of rows, so a row costs two references. It also leaves the
-cyclic garbage collector nothing per row to track. stamped_kinds() hands
-the rows out as (timestamp, kind) pairs, the input of the harness's
-fold; rows() hands them out as EventRows. The log has no lock: both
-backends run every component that records on one thread (the virtual
-scheduler's, or the TCP backend's loop), and callers read the rows once
-the run has ended.
+and the log packs the two into one 12-byte record of a bytearray (ROW):
+the timestamp as an int64 and the kind as a uint32 index into the log's
+table of distinct kinds, which holds one copy of each. A run has a few
+dozen kinds against tens of thousands of rows, so a row costs 12 bytes
+and no object, and the timestamp int it was recorded with is freed.
+record() therefore refuses a timestamp that is not an int or lies outside
+int64 (TypeError, ValueError) rather than wrapping it.
+
+A row is appended in one C-level step, so rows recorded from several
+threads never mix; a kind's index is assigned under a lock, once per new
+kind. Even so, both backends run every component that records on one
+thread (the virtual scheduler's, or the TCP backend's loop), and callers
+read the rows once the run has ended.
 
 Rows stay in record order, which is timestamp order: every component
 stamps a row with a read of the run's one monotonic clock made just
@@ -23,16 +27,22 @@ before it records, on that one thread, so no row can carry an earlier
 time than one recorded before it. Every reader hands them out as
 recorded, with no sort.
 
-write_to() formats and writes WRITE_BLOCK_ROWS rows at a time, so writing
-a log holds one block's text at once, not the whole file's. Each kind's
-text after the timestamp is formatted once per write, so a row costs one
-int's formatting; render() joins the same blocks.
+Every reader unpacks WRITE_BLOCK_ROWS rows at a time in one call, into
+one flat tuple. stamped_codes() hands the rows out as (timestamp, index)
+pairs, which the harness's fold reads against kinds(); stamped_kinds()
+as (timestamp, kind) pairs; rows() as EventRows. write_to() formats and
+writes one block at a time, so writing a log holds one block's text, not
+the whole file's. Each kind's text after the timestamp is formatted once
+per write, so a row costs one int's formatting; render() joins the same
+blocks.
 """
 
 from __future__ import annotations
 
+import struct
+import threading
 from collections.abc import Iterable
-from itertools import islice
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 
@@ -50,20 +60,35 @@ _new = tuple.__new__
 # A row's kind: (component, method, event, value).
 RowKind = tuple[str, str, str, str]
 
-# Rows formatted and written per block: about 150 KB of text at the
-# harness's row widths.
-WRITE_BLOCK_ROWS = 4096
+# One row: its timestamp_ns and its kind's index in the log's kinds().
+ROW = struct.Struct("<qI")
+
+# Rows unpacked, formatted and written per block: about 36 KB of text at
+# the harness's row widths.
+WRITE_BLOCK_ROWS = 1024
+
+# A whole block of rows, unpacked in one call.
+_BLOCK = struct.Struct("<" + "qI" * WRITE_BLOCK_ROWS)
+_pack = ROW.pack
+
+
+def _refusal(timestamp_ns: object) -> Exception:
+    """The error for a timestamp that ROW cannot hold."""
+    if not isinstance(timestamp_ns, int):
+        return TypeError(f"timestamp_ns must be an int, got {type(timestamp_ns).__name__}")
+    return ValueError(f"timestamp_ns {timestamp_ns} is outside int64")
 
 
 class EventLog:
     """In-memory event sink."""
 
     def __init__(self) -> None:
-        # Every distinct kind recorded, mapped to itself: the one copy
-        # that every row of that kind holds.
-        self._kinds: dict[RowKind, RowKind] = {}
-        # Two slots per row: timestamp_ns, kind.
-        self._rows: list[int | RowKind] = []
+        # Every distinct kind recorded, mapped to its index: the order of
+        # first recording, so the keys in order are kinds().
+        self._codes: dict[RowKind, int] = {}
+        self._new_kind = threading.Lock()
+        # One ROW per row.
+        self._rows = bytearray()
 
     def record(
         self,
@@ -74,25 +99,61 @@ class EventLog:
         value: str = "",
     ) -> None:
         kind = (component, method, event, value)
-        self._rows += (timestamp_ns, self._kinds.setdefault(kind, kind))
+        try:
+            self._rows += _pack(timestamp_ns, self._codes[kind])
+        except KeyError:
+            self._record_first(timestamp_ns, kind)
+        except struct.error:
+            raise _refusal(timestamp_ns) from None
+
+    def _record_first(self, timestamp_ns: int, kind: RowKind) -> None:
+        """Record the first row of its kind, which takes the next index once
+        its timestamp is known to pack."""
+        try:
+            _pack(timestamp_ns, 0)
+        except struct.error:
+            raise _refusal(timestamp_ns) from None
+        with self._new_kind:
+            code = self._codes.setdefault(kind, len(self._codes))
+        self._rows += _pack(timestamp_ns, code)
+
+    def kinds(self) -> list[RowKind]:
+        """Every distinct kind recorded, indexed as stamped_codes() gives them."""
+        return list(self._codes)
+
+    def _flat_blocks(self) -> Iterator[tuple[int, ...]]:
+        """Up to WRITE_BLOCK_ROWS rows at a time, in record order, each block
+        one flat tuple: timestamp, index, timestamp, index, ..."""
+        rows = self._rows
+        end = len(rows)
+        whole = end - end % _BLOCK.size
+        for offset in range(0, whole, _BLOCK.size):
+            yield _BLOCK.unpack_from(rows, offset)
+        if whole < end:
+            rest = struct.Struct("<" + "qI" * ((end - whole) // ROW.size))
+            yield rest.unpack_from(rows, whole)
+
+    def stamped_codes(self) -> Iterator[tuple[int, int]]:
+        """Each row as (timestamp_ns, index into kinds()), in record order."""
+        slots = chain.from_iterable(self._flat_blocks())
+        return zip(slots, slots)
 
     def stamped_kinds(self) -> Iterator[tuple[int, RowKind]]:
         """Each row as (timestamp_ns, kind), in record order."""
-        slots = iter(self._rows)
-        return zip(slots, slots)
+        slots = chain.from_iterable(self._flat_blocks())
+        return zip(slots, map(self.kinds().__getitem__, slots))
 
     def rows(self) -> list[EventRow]:
-        return [_new(EventRow, (ts, *kind)) for ts, kind in self.stamped_kinds()]
+        kinds = self.kinds()
+        return [_new(EventRow, (ts, *kinds[code])) for ts, code in self.stamped_codes()]
 
     def _blocks(self) -> Iterator[str]:
         """CSV text of up to WRITE_BLOCK_ROWS rows at a time, in record order."""
         # ",component,method,event,value\n" of every kind, formatted once.
-        tails = {kind: f",{','.join(kind)}\n" for kind in self._kinds}
-        stamped = self.stamped_kinds()
-        while block := "".join([
-            f"{ts}{tails[kind]}" for ts, kind in islice(stamped, WRITE_BLOCK_ROWS)
-        ]):
-            yield block
+        tails = [f",{','.join(kind)}\n" for kind in self.kinds()]
+        for block in self._flat_blocks():
+            slots = iter(block)
+            yield "".join([f"{ts}{tails[code]}" for ts, code in zip(slots, slots)])
 
     def render(self) -> str:
         """Whole log as CSV text, one line per row in record order."""

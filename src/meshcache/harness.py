@@ -284,28 +284,38 @@ def compute_windows(
     start_ns: int,
     duration_s: float,
     window_s: float = WINDOW_S,
+    kinds: Sequence[RowKind] | None = None,
 ) -> RunMetrics:
     """Fold (timestamp_ns, kind) rows into run totals and fixed windows over
     [0, duration).
 
     Each window holds its error fraction, hit fraction and mean issued
     TTL; rows outside [0, duration) count in the first or last window.
-    Each distinct kind is classified once, on its first row: which tally
-    it bumps and the TTL it adds. EventLog.stamped_kinds() gives a log's
-    rows in this form, and split_kinds() any five-field rows.
+    Each distinct kind is classified once: which tally it bumps and the
+    TTL it adds. EventLog.stamped_kinds() gives a log's rows in this form,
+    and split_kinds() any five-field rows. With kinds, each row's second
+    field is instead an index into kinds, as EventLog.stamped_codes()
+    gives a log's rows against EventLog.kinds().
     """
     count = max(1, math.ceil(duration_s / window_s))
     window_ns = seconds_to_ns(window_s)
     tallies = {name: [0] * count for name in _TALLIES}
     ttl_sum = [0.0] * count
-    steps: dict[RowKind, tuple[list[int] | None, float | None]] = {}
+
+    def step_of(kind: RowKind) -> tuple[list[int] | None, float | None]:
+        name, ttl = _tally_of(kind)
+        return tallies.get(name), ttl
+
+    # Each kind's (or index's) step: the tally it bumps and the TTL it adds.
+    steps: dict[RowKind, tuple] | list[tuple] = {} if kinds is None else [
+        step_of(kind) for kind in kinds
+    ]
     last = count - 1
     for ts, kind in stamped:
-        step = steps.get(kind)
-        if step is None:
-            name, ttl = _tally_of(kind)
-            step = steps[kind] = (tallies.get(name), ttl)
-        tally, ttl = step
+        try:
+            tally, ttl = steps[kind]
+        except KeyError:
+            tally, ttl = steps[kind] = step_of(kind)
         if tally is None:
             continue
         idx = (ts - start_ns) // window_ns
@@ -409,7 +419,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             tcp.run_actors(actors)
-    metrics = compute_windows(log.stamped_kinds(), start_ns, cfg.duration_s)
+    metrics = compute_windows(log.stamped_codes(), start_ns, cfg.duration_s, kinds=log.kinds())
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
         **vars(metrics),

@@ -177,6 +177,7 @@ class _Loop:
     def _run(self) -> None:
         select = self.selector.select
         timers, ready = self._timers, self._ready
+        pause = 0.0  # while select() fails: the wait before it is tried again
         while True:
             try:
                 if ready:
@@ -185,7 +186,16 @@ class _Loop:
                     timeout = max(0.0, (timers[0][0] - time.monotonic_ns()) / 1e9)
                 else:
                     timeout = None
-                for key, events in select(timeout):
+                try:
+                    selected = select(timeout)
+                    pause = 0.0
+                except Exception:  # noqa: BLE001 - reported once; timers and callbacks still run
+                    if not pause:
+                        traceback.print_exc()
+                    pause = min(2 * pause or 0.001, 1.0)
+                    time.sleep(pause)
+                    selected = []
+                for key, events in selected:
                     key.data(events)
                 now = time.monotonic_ns()
                 while timers and timers[0][0] <= now:
@@ -312,10 +322,14 @@ class _Connection:
         return cls(loop, sock, on_frame, on_close, connecting=err != 0)
 
     def _on_event(self, events: int) -> None:
-        if events & selectors.EVENT_WRITE:
-            self._flush()
-        if events & selectors.EVENT_READ and not self.closed:
-            self._read()
+        try:
+            if events & selectors.EVENT_WRITE:
+                self._flush()
+            if events & selectors.EVENT_READ and not self.closed:
+                self._read()
+        except Exception as exc:  # noqa: BLE001 - fails this connection, not the loop
+            traceback.print_exc()
+            self.close(exc)
 
     def _read(self) -> None:
         try:

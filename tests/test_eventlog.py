@@ -181,3 +181,82 @@ def test_a_row_costs_no_object_of_its_own():
         tracemalloc.stop()
     assert len(log.rows()) == n
     assert held / n < 24, f"{held / n:.1f} B per row"
+
+
+def test_a_row_holds_no_timestamp_int():
+    # Each row stamped with a fresh int, as a run's clock makes one per
+    # request: a row is one 12-byte record, and the int is freed once it is
+    # recorded. Kept as a slot it cost 52 B a row.
+    n = 30_000
+    log = EventLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            log.record(1_800_000_000_000 + i * 1_000_003, "client", "GetValue", "ok")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.rows()) == n
+    assert held / n <= 16, f"{held / n:.1f} B per row"
+
+
+def test_more_kinds_than_a_16_bit_index_holds_round_trip(tmp_path):
+    n = 70_000  # past 65,536, so no kind index fits in 16 bits
+    log = EventLog()
+    for i in range(n):
+        log.record(i, "estimator", "GetValue", "estimate", str(i))
+    log.record(n, "estimator", "GetValue", "estimate", "0")  # a kind seen before
+    assert len(log.kinds()) == n
+    path = tmp_path / "events.csv"
+    log.write_to(path)
+    rows = parse_event_log(path.read_text(encoding="ascii"))
+    assert rows == log.rows()
+    assert [r.value for r in rows] == [str(i) for i in range(n)] + ["0"]
+    assert [r.timestamp_ns for r in rows] == list(range(n + 1))
+
+
+def test_the_int64_extremes_round_trip(tmp_path):
+    log = EventLog()
+    for ts in (0, 2**63 - 1, 1, 2**63 - 2):
+        log.record(ts, "cache", "GetValue", "miss")
+    path = tmp_path / "events.csv"
+    log.write_to(path)
+    rows = parse_event_log(path.read_text(encoding="ascii"))
+    assert [r.timestamp_ns for r in rows] == [0, 2**63 - 1, 1, 2**63 - 2]
+    assert rows == log.rows()
+
+
+@pytest.mark.parametrize(
+    "timestamp_ns, error, fragment",
+    [
+        (2**63, ValueError, "outside int64"),
+        (-(2**63) - 1, ValueError, "outside int64"),
+        (10**30, ValueError, "outside int64"),
+        (1.0, TypeError, "must be an int, got float"),
+        ("5", TypeError, "must be an int, got str"),
+        (None, TypeError, "must be an int, got NoneType"),
+    ],
+)
+def test_record_refuses_a_timestamp_it_cannot_pack(timestamp_ns, error, fragment):
+    log = EventLog()
+    log.record(7, "cache", "GetValue", "hit")
+    with pytest.raises(error, match=fragment):
+        log.record(timestamp_ns, "cache", "GetValue", "hit")
+    # Nothing of a refused row is kept: not wrapped, not half written, and
+    # not its kind when it would have been the first of that kind.
+    with pytest.raises(error, match=fragment):
+        log.record(timestamp_ns, "cache", "GetValue", "miss")
+    assert log.rows() == [(7, "cache", "GetValue", "hit", "")]
+    assert log.kinds() == [("cache", "GetValue", "hit", "")]
+    log.record(8, "cache", "GetValue", "miss")
+    assert log.render() == "7,cache,GetValue,hit,\n8,cache,GetValue,miss,\n"
+
+
+def test_every_reader_gives_the_rows_as_recorded():
+    log = realistic_log(3 * WRITE_BLOCK_ROWS + 5)
+    rows = log.rows()
+    kinds = log.kinds()
+    assert list(log.stamped_kinds()) == [(r.timestamp_ns, tuple(r[1:])) for r in rows]
+    assert [(ts, kinds[code]) for ts, code in log.stamped_codes()] == list(log.stamped_kinds())
+    assert len(kinds) == 3 and kinds[0] == ("client", "GetValue", "ok", "")

@@ -870,3 +870,20 @@ def test_run_suite_records_failures_and_keeps_going(tmp_path, monkeypatch):
     assert len(outcome.results) == 1
     assert [failure[:3] for failure in outcome.failures] == [("static-1", "0", -1)]
     assert (tmp_path / "s" / "scatter.csv").exists()
+
+
+def test_one_long_run_with_outputs_peaks_under_a_megabyte(tmp_path):
+    # The largest run of the default suite (24,788 event rows). The log
+    # holds 12 bytes a row and its file is written a block at a time; with
+    # an object-holding slot per row and 4096-row blocks it peaked at
+    # 1.53 MB. The first run fills the workload's shared draw prefix.
+    cfg = ExperimentConfig("updaterisk-0.5", phase_tag="pi2", seed=1, duration_s=1800.0)
+    run_experiment(cfg, tmp_path / "first")
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, tmp_path / "measured")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.total_queries > 9_000
+    assert peak < 1_000_000, f"peaked at {peak} B"

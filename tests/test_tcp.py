@@ -1,6 +1,7 @@
 """Framed TCP transport: server lifecycle, link behavior, error paths."""
 
 import errno
+import json
 import math
 import os
 import random
@@ -585,3 +586,124 @@ def test_a_server_out_of_descriptors_waits_and_accepts_again():
             child.kill()
             child.wait()
         child.stdout.close()
+
+
+def _run_child(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(tcp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout), child.stderr
+
+
+# Both scenarios run on a private _Loop in a child process, so that the
+# loop's thread ends with the child and no other test shares the loop.
+_LOOP_PRELUDE = """
+import json, selectors, socket, threading, time
+from meshcache import tcp
+from meshcache.wire import Message, decode, encode
+
+def start(loop, link, payload, finished):
+    task = tcp._Task(loop, link.exchange(Message.request("M", payload)), finished)
+    loop.hand_in(task.step)
+
+def read_requests(conn, count):
+    reader, frames = tcp._FrameReader(), []
+    while len(frames) < count:
+        frames += reader.feed(conn.recv(65536))
+    return [decode(frame) for frame in frames]
+"""
+
+_BROKEN_CONNECTION = _LOOP_PRELUDE + """
+loop = tcp._Loop()
+peer = socket.create_server(("127.0.0.1", 0))
+peer.settimeout(10.0)
+broken, healthy = tcp.TcpLink(peer.getsockname()[:2]), tcp.TcpLink(peer.getsockname()[:2])
+
+def boom(conn, frame):
+    raise RuntimeError("boom")
+
+broken._on_frame = boom  # the link's connection hands it every frame
+outcomes, all_done = {}, threading.Event()
+
+def finisher(name):
+    def finished(response, error):
+        outcomes[name] = f"{type(error).__name__}: {error}" if error else response.payload.decode()
+        if len(outcomes) == 3:
+            all_done.set()
+    return finished
+
+start(loop, broken, b"a1", finisher("a1"))
+start(loop, broken, b"a2", finisher("a2"))
+conn_a, _ = peer.accept()
+conn_a.settimeout(10.0)
+first, _ = read_requests(conn_a, 2)
+start(loop, healthy, b"b", finisher("b"))
+conn_b, _ = peer.accept()
+conn_b.settimeout(10.0)
+(request_b,) = read_requests(conn_b, 1)
+conn_a.sendall(encode(Message.response("M", b"a", request_id=first.request_id)))
+a_closed = conn_a.recv(1) == b""
+conn_b.sendall(encode(Message.response("M", b"answered", request_id=request_b.request_id)))
+all_done.wait(10.0)
+print(json.dumps({"outcomes": outcomes, "a_closed": a_closed}))
+"""
+
+
+def test_a_connection_callback_that_raises_closes_only_that_connection():
+    report, stderr = _run_child(_BROKEN_CONNECTION)
+    outcomes = report["outcomes"]
+    assert report["a_closed"]
+    for name in ("a1", "a2"):
+        assert outcomes[name].startswith("TransportError") and "boom" in outcomes[name]
+    assert outcomes["b"] == "answered"  # the other connection and the loop carry on
+    assert stderr.count("Traceback") == 1 and "RuntimeError: boom" in stderr
+
+
+_FAILING_SELECT = _LOOP_PRELUDE + """
+class FailingSelector(selectors.DefaultSelector):
+    failing, calls = True, 0
+
+    def select(self, timeout=None):
+        if FailingSelector.failing:
+            FailingSelector.calls += 1
+            raise OverflowError("timeout is too large")
+        return super().select(timeout)
+
+selectors.DefaultSelector = FailingSelector
+loop = tcp._Loop()
+silent = socket.create_server(("127.0.0.1", 0))  # accepts, never answers
+link = tcp.TcpLink(silent.getsockname()[:2], timeout_s=0.2)
+outcome, done, handed_in = [], threading.Event(), threading.Event()
+started = time.monotonic()
+start(loop, link, b"x", lambda response, error: (outcome.append(f"{type(error).__name__}: {error}"), done.set()))
+loop.hand_in(handed_in.set)
+done.wait(10.0)
+waited = time.monotonic() - started
+calls = FailingSelector.calls
+FailingSelector.failing = False
+recovered = threading.Event()
+loop.hand_in(recovered.set)
+print(json.dumps({
+    "outcome": outcome, "waited": waited, "calls": calls,
+    "handed_in": handed_in.is_set(), "recovered": recovered.wait(5.0),
+}))
+"""
+
+
+def test_a_failing_select_is_reported_once_and_retried_without_spinning():
+    report, stderr = _run_child(_FAILING_SELECT)
+    # The link's deadline still fires, and a handed-in callback still runs.
+    assert len(report["outcome"]) == 1 and "timed out" in report["outcome"][0]
+    assert report["outcome"][0].startswith("TransportError")
+    assert report["handed_in"] and report["recovered"]
+    # The pause starts at 1 ms and doubles up to 1 s, so the deadline 0.2 s
+    # out fires after about 9 calls; a spinning loop would call select()
+    # hundreds of thousands of times in this while.
+    assert 0.2 <= report["waited"] < 5.0
+    assert report["calls"] < 20, report
+    assert stderr.count("Traceback") == 1 and "timeout is too large" in stderr
