@@ -13,7 +13,9 @@ table of distinct kinds, which holds one copy of each. A run has a few
 dozen kinds against tens of thousands of rows, so a row costs 12 bytes
 and no object, and the timestamp int it was recorded with is freed.
 record() therefore refuses a timestamp that is not an int or lies outside
-int64 (TypeError, ValueError) rather than wrapping it.
+int64 (TypeError, ValueError) rather than wrapping it, and a negative one
+(ValueError), which parse_event_row would refuse, so every log it writes
+reads back.
 
 A row is appended in one C-level step, so rows recorded from several
 threads never mix; a kind's index is assigned under a lock, once per new
@@ -73,9 +75,11 @@ _pack = ROW.pack
 
 
 def _refusal(timestamp_ns: object) -> Exception:
-    """The error for a timestamp that ROW cannot hold."""
+    """The error for a timestamp that ROW cannot hold, or that is negative."""
     if not isinstance(timestamp_ns, int):
         return TypeError(f"timestamp_ns must be an int, got {type(timestamp_ns).__name__}")
+    if -(2**63) <= timestamp_ns < 0:
+        return ValueError(f"timestamp_ns {timestamp_ns} is negative")
     return ValueError(f"timestamp_ns {timestamp_ns} is outside int64")
 
 
@@ -100,19 +104,26 @@ class EventLog:
     ) -> None:
         kind = (component, method, event, value)
         try:
-            self._rows += _pack(timestamp_ns, self._codes[kind])
+            row = _pack(timestamp_ns, self._codes[kind])
         except KeyError:
             self._record_first(timestamp_ns, kind)
+            return
         except struct.error:
             raise _refusal(timestamp_ns) from None
+        # A negative timestamp packs, but parse_event_row refuses it.
+        if timestamp_ns < 0:
+            raise _refusal(timestamp_ns)
+        self._rows += row
 
     def _record_first(self, timestamp_ns: int, kind: RowKind) -> None:
         """Record the first row of its kind, which takes the next index once
-        its timestamp is known to pack."""
+        its timestamp is known to pack and not to be negative."""
         try:
             _pack(timestamp_ns, 0)
         except struct.error:
             raise _refusal(timestamp_ns) from None
+        if timestamp_ns < 0:
+            raise _refusal(timestamp_ns)
         with self._new_kind:
             code = self._codes.setdefault(kind, len(self._codes))
         self._rows += _pack(timestamp_ns, code)

@@ -17,6 +17,16 @@ frame or a request older than the link's timeout fails every request in
 flight on that link with TransportError, and the next exchange
 reconnects.
 
+A connection sends once per loop turn. Writing a frame appends it to the
+connection's buffer; after the turn's socket callbacks, timers and
+handed-in callbacks, and before the loop selects again, each connection
+written to sends its buffer with one send(). So the frames a turn writes
+to one connection leave together, as Nagle's algorithm would coalesce
+them in the kernel had TCP_NODELAY not turned it off. What the socket
+does not take waits for EVENT_WRITE. A close first tries one
+non-blocking send of what is buffered, so a frame written in the same
+turn as the close still reaches the peer.
+
 TcpLink.send() is the blocking form, for threads other than the loop's:
 a direct round trip on a connection of its own, one link per thread.
 """
@@ -116,6 +126,10 @@ class _Loop:
     Callbacks wait in one deque, which any thread may append to (a deque
     append is atomic). A thread other than the loop's also writes a byte
     to the wake pipe, so that a loop blocked in select() turns.
+
+    A turn runs the socket callbacks select() reported, the due timers and
+    the callbacks handed in; then each connection written to during the
+    turn sends its buffer with one send(), before the loop selects again.
     """
 
     def __init__(self) -> None:
@@ -123,6 +137,8 @@ class _Loop:
         self._timers: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._ready: deque[Callable[[], None]] = deque()
+        # Connections written to this turn, each queued once by its first write.
+        self.pending: list[_Connection] = []
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -176,11 +192,11 @@ class _Loop:
 
     def _run(self) -> None:
         select = self.selector.select
-        timers, ready = self._timers, self._ready
+        timers, ready, pending = self._timers, self._ready, self.pending
         pause = 0.0  # while select() fails: the wait before it is tried again
         while True:
             try:
-                if ready:
+                if ready or pending:
                     timeout: float | None = 0.0
                 elif timers:
                     timeout = max(0.0, (timers[0][0] - time.monotonic_ns()) / 1e9)
@@ -202,6 +218,8 @@ class _Loop:
                     heapq.heappop(timers)[2]()
                 for _ in range(len(ready)):
                     ready.popleft()()
+                while pending:
+                    pending.pop().send_pending()
             except Exception:  # noqa: BLE001 - the loop serves every other socket
                 traceback.print_exc()
 
@@ -280,7 +298,10 @@ class _Connection:
     any reason.
     """
 
-    __slots__ = ("_loop", "_sock", "_reader", "_out", "_connecting", "_on_frame", "_on_close", "closed")
+    __slots__ = (
+        "_loop", "_sock", "_reader", "_out", "_connecting", "_writing", "_on_frame", "_on_close",
+        "closed",
+    )
 
     def __init__(
         self,
@@ -295,6 +316,8 @@ class _Connection:
         self._reader = _FrameReader()
         self._out = bytearray()
         self._connecting = connecting
+        # Registered for EVENT_WRITE: connecting, or holding bytes the socket did not take.
+        self._writing = connecting
         self._on_frame = on_frame
         self._on_close = on_close
         self.closed = False
@@ -353,24 +376,38 @@ class _Connection:
             self._on_frame(self, frame)
 
     def write(self, frame: bytes) -> None:
-        """Send frame, buffering what the socket does not take now."""
+        """Buffer frame; the loop sends the turn's buffer once the turn's callbacks are done."""
         if self.closed:
             return
-        if self._out or self._connecting:
-            self._out += frame
+        out = self._out
+        if not out and not self._writing:
+            self._loop.pending.append(self)
+        out += frame
+
+    def send_pending(self) -> None:
+        """Send the buffer with one send(); wait for EVENT_WRITE for what the socket leaves."""
+        if self.closed:
             return
         try:
-            sent = self._sock.send(frame)
+            self._send()
+            if self._out and not self.closed:
+                self._writing = True
+                self._loop.selector.modify(
+                    self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self._on_event
+                )
+        except Exception as exc:  # noqa: BLE001 - fails this connection, not the loop
+            traceback.print_exc()
+            self.close(exc)
+
+    def _send(self) -> None:
+        try:
+            sent = self._sock.send(self._out)
         except (BlockingIOError, InterruptedError):
-            sent = 0
+            return
         except OSError as exc:
             self.close(exc)
             return
-        if sent < len(frame):
-            self._out += memoryview(frame)[sent:]
-            self._loop.selector.modify(
-                self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self._on_event
-            )
+        del self._out[:sent]
 
     def _flush(self) -> None:
         if self._connecting:
@@ -380,21 +417,21 @@ class _Connection:
                 return
             self._connecting = False
         if self._out:
-            try:
-                sent = self._sock.send(self._out)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError as exc:
-                self.close(exc)
-                return
-            del self._out[:sent]
-        if not self._out:
+            self._send()
+        if not self._out and not self.closed:
+            self._writing = False
             self._loop.selector.modify(self._sock, selectors.EVENT_READ, self._on_event)
 
     def close(self, reason: BaseException) -> None:
+        """Close once, after one non-blocking try to send what is buffered."""
         if self.closed:
             return
         self.closed = True
+        if self._out and not self._connecting:
+            try:
+                self._sock.send(self._out)
+            except OSError:
+                pass
         self._loop.selector.unregister(self._sock)
         self._sock.close()
         self._on_close(self, reason)

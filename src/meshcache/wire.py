@@ -15,10 +15,14 @@ Frames are capped at 16 MiB. The encoding is canonical: decode() rejects
 anything encode() would not produce, so decode(encode(m)) == m and any
 accepted byte string re-encodes to itself.
 
-encode() and decode() remember the head (kind, status and method) and the
-metadata of the frames they have checked, in small bounded memos, so a
-sidecar that repeats a few methods and cache-control values checks and
-builds those bytes once; a memo miss runs every check.
+encode() and decode() remember the frames they have checked, in small
+bounded memos. A sidecar sends the same few frames again and again, each
+differing from the last only in its request id, so a whole-frame memo
+keyed on everything but the id gives encode() the bytes around the id and
+decode() the fields, with no field checked again; the id range is still
+checked on every encode. Below those, the head (kind, status and method)
+and the metadata of each frame are remembered on their own, so a frame
+with a new payload reuses them. A memo miss runs every check.
 """
 
 from __future__ import annotations
@@ -166,23 +170,27 @@ _REQUEST_HEAD = struct.Struct(">BH")  # kind, method length
 _RESPONSE_HEAD = struct.Struct(">BBH")  # kind, status, method length
 _ID_AND_PAIRS = struct.Struct(">QH")  # request id, metadata pair count
 
-# The codec remembers the pieces of a frame it has already checked: the
-# head (kind byte through method) and the metadata, which a sidecar
+# The codec remembers the frames it has already checked, and their pieces:
+# the head (kind byte through method) and the metadata, which a sidecar
 # repeats on almost every frame. A memo is cleared when it reaches
-# _MEMO_ENTRIES entries, and a piece longer than _MEMO_PIECE_BYTES is never
-# kept, so a peer cannot make the memos hold much memory. There is no lock:
-# each memo operation is one dict operation on immutable keys and values,
-# and threads that interleave can at worst clear a memo early or overshoot
-# its bound by one entry each.
+# _MEMO_ENTRIES entries, and a frame or piece longer than _MEMO_PIECE_BYTES
+# is never kept, so a peer cannot make the memos hold much memory. There
+# is no lock: each memo operation is one dict operation on immutable keys
+# and values, and threads that interleave can at worst clear a memo early
+# or overshoot its bound by one entry each.
 _MEMO_ENTRIES = 256
 _MEMO_PIECE_BYTES = 256
 
-# encode(): (kind, status, method) -> head bytes; metadata tuple -> pair
-# count and pair bytes.
+# encode(): the message's fields but the request id -> the frame's bytes
+# before and after the id; (kind, status, method) -> head bytes; metadata
+# tuple -> pair count and pair bytes.
+_ENCODED_FRAMES: dict[tuple, tuple[bytes, bytes]] = {}
 _ENCODED_HEADS: dict[tuple, bytes] = {}
 _ENCODED_METADATA: dict[tuple, bytes] = {}
-# decode(): head bytes -> (kind, status, method); one pair's bytes, with
-# both length fields -> (key, value).
+# decode(): the frame's bytes after the length prefix, less the 8 id bytes
+# -> the message's fields but the request id; head bytes -> (kind, status,
+# method); one pair's bytes, with both length fields -> (key, value).
+_DECODED_FRAMES: dict[bytes, tuple] = {}
 _DECODED_HEADS: dict[bytes, tuple] = {}
 _DECODED_PAIRS: dict[bytes, tuple[str, str]] = {}
 
@@ -246,11 +254,21 @@ def _encode_metadata(metadata: tuple[tuple[str, str], ...]) -> bytes:
 def encode(message: Message) -> bytes:
     """Serialize one message to a frame, byte-exact per the layout above.
 
-    The head and the metadata come from the memos when seen before, and
-    are checked and remembered otherwise; the request id and the frame
-    cap are checked on every call.
+    A frame encoded before with another request id is rebuilt from the
+    bytes around its id. Otherwise the head and the metadata come from
+    the memos when seen before, and are checked and remembered otherwise;
+    the request id and the frame cap are checked on every call.
     """
     kind, method, payload, metadata, status, request_id = message
+    try:
+        # A payload too long for the memo is not hashed.
+        frame = _ENCODED_FRAMES.get(message[:5]) if len(payload) <= _MEMO_PIECE_BYTES else None
+    except TypeError:  # an unhashable or unsized field
+        frame = None
+    if frame is not None:
+        if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
+            raise EncodeError("request_id out of u64 range")
+        return frame[0] + _U64.pack(request_id) + frame[1]
     try:
         head = _ENCODED_HEADS.get((kind, status, method))
     except TypeError:  # an unhashable field
@@ -269,9 +287,13 @@ def encode(message: Message) -> bytes:
     total = len(head) + len(pairs) + len(payload) + 12
     if total > MAX_FRAME_LEN:
         raise EncodeError("payload pushes frame past the 16 MiB cap")
-    return b"".join(
+    frame = b"".join(
         (_U32.pack(total), head, _U64.pack(request_id), pairs, _U32.pack(len(payload)), payload)
     )
+    if total + 4 <= _MEMO_PIECE_BYTES:
+        at = 4 + len(head)
+        _remember(_ENCODED_FRAMES, message[:5], (frame[:at], frame[at + 8 :]))
+    return frame
 
 
 def _short() -> TruncatedFrameError:
@@ -283,9 +305,13 @@ def decode(data: bytes) -> Message:
 
     One pass over the buffer: every length is validated against the
     frame before it is read, and the resulting message must satisfy the
-    same invariants encode() enforces. A head or metadata pair whose
-    bytes were decoded before is taken from the memos; its bytes
-    determine its own length, so a piece cut short is never found there.
+    same invariants encode() enforces. Once the length prefix and the
+    place of the request id are known to be good, a frame that differs
+    from one decoded before only in its id takes that frame's fields,
+    unchecked: the remembered frame passed every check, and any id is
+    valid. Otherwise a head or metadata pair whose bytes were decoded
+    before is taken from the memos; its bytes determine its own length,
+    so a piece cut short is never found there.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -304,13 +330,18 @@ def decode(data: bytes) -> Message:
         raise _short()
     kind_byte = data[4]
     pos = 6 if kind_byte == 0x01 else 5
-    # None (never a key) stands for a head too short to read or too long
-    # to remember.
-    raw = None
+    # None (never a key) stands for a head, or a frame, too short to read
+    # or too long to remember.
+    raw = frame_key = None
     if pos + 2 <= end:
         stop = pos + 2 + _U16.unpack_from(data, pos)[0]
         if stop - 4 <= _MEMO_PIECE_BYTES:
             raw = data[4:stop]
+            if end <= _MEMO_PIECE_BYTES and stop + 8 <= end:
+                frame_key = raw + data[stop + 8 :]
+                fields = _DECODED_FRAMES.get(frame_key)
+                if fields is not None:
+                    return _new(Message, fields + _U64.unpack_from(data, stop))
     head = _DECODED_HEADS.get(raw)
     try:
         if head is None:
@@ -375,4 +406,7 @@ def decode(data: bytes) -> Message:
         raise _short()
     if stop != end:
         raise DecodeError("declared frame length does not match field contents")
-    return _new(Message, (kind, method, data[pos + 4 : stop], tuple(metadata), status, request_id))
+    fields = (kind, method, data[pos + 4 : stop], tuple(metadata), status)
+    if frame_key is not None:
+        _remember(_DECODED_FRAMES, frame_key, fields)
+    return _new(Message, fields + (request_id,))

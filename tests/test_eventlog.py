@@ -236,6 +236,8 @@ def test_the_int64_extremes_round_trip(tmp_path):
         (1.0, TypeError, "must be an int, got float"),
         ("5", TypeError, "must be an int, got str"),
         (None, TypeError, "must be an int, got NoneType"),
+        (-1, ValueError, "timestamp_ns -1 is negative"),
+        (-5, ValueError, "timestamp_ns -5 is negative"),
     ],
 )
 def test_record_refuses_a_timestamp_it_cannot_pack(timestamp_ns, error, fragment):

@@ -97,7 +97,11 @@ FOLD_METHODS = ("GetValue", "SetValue", "ListValues")
 
 
 def random_fold_rows(rng, start_ns, duration_s, n):
-    """n rows in random order, timestamps spilling past both ends of the run."""
+    """n rows in random order, timestamps spilling past both ends of the run.
+
+    A timestamp that would fall before 0 is 0: an EventLog refuses a
+    negative one, as parse_event_row does.
+    """
     rows = []
     for _ in range(n):
         component = rng.choice(sorted(FOLD_EVENTS))
@@ -107,7 +111,7 @@ def random_fold_rows(rng, start_ns, duration_s, n):
         if event == "estimate":
             value = rng.choice([str(rng.randint(0, 30)), repr(rng.uniform(0, 30))])
         method = rng.choice(FOLD_METHODS)
-        rows.append(EventRow(start_ns + offset_ns, component, method, event, value))
+        rows.append(EventRow(max(0, start_ns + offset_ns), component, method, event, value))
     return rows
 
 

@@ -707,3 +707,99 @@ def test_a_failing_select_is_reported_once_and_retried_without_spinning():
     assert 0.2 <= report["waited"] < 5.0
     assert report["calls"] < 20, report
     assert stderr.count("Traceback") == 1 and "timeout is too large" in stderr
+
+
+_COALESCING = _LOOP_PRELUDE + """
+class CountingSocket:
+    '''One end of a socketpair that counts its send() calls.'''
+
+    def __init__(self, sock):
+        self.sock, self.sends = sock, 0
+
+    def send(self, data):
+        self.sends += 1
+        return self.sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+loop = tcp._Loop()
+ours, peer = socket.socketpair()
+ours.setblocking(False)
+peer.settimeout(10.0)
+counted = CountingSocket(ours)
+closed = []
+conn = loop.run_sync(
+    lambda: tcp._Connection(loop, counted, lambda c, f: None, lambda c, r: closed.append(str(r)))
+)
+
+def received(count):
+    messages = read_requests(peer, count)
+    loop.run_sync(lambda: None)  # the turn that wrote them has ended
+    return [m.payload.decode() for m in messages]
+
+def frame(payload):
+    return encode(Message.request("M", payload.encode()))
+
+report = {}
+loop.run_sync(lambda: [conn.write(frame(p)) for p in ("a", "b", "c")])
+report["one_turn"] = [received(3), counted.sends]
+counted.sends = 0
+loop.run_sync(lambda: conn.write(frame("d")))
+loop.run_sync(lambda: conn.write(frame("e")))
+report["two_turns"] = [received(2), counted.sends]
+
+def write_and_close():
+    conn.write(frame("last"))
+    conn.close(ConnectionError("done"))
+
+loop.run_sync(write_and_close)
+report["closed"] = [received(1), peer.recv(1).decode(), closed]
+print(json.dumps(report))
+"""
+
+
+def test_frames_written_in_one_turn_leave_in_one_send():
+    report, _ = _run_child(_COALESCING)
+    # Three frames written in one turn: one send(), in the order written.
+    assert report["one_turn"] == [["a", "b", "c"], 1]
+    # One frame in each of two turns: a send() each.
+    assert report["two_turns"] == [["d", "e"], 2]
+    # A frame written in the same turn as close() reaches the peer before EOF.
+    assert report["closed"] == [["last"], "", ["done"]]
+
+
+def test_a_frame_bigger_than_the_send_buffer_arrives_whole_and_in_order(monkeypatch):
+    big = random.Random(25).randbytes(1024 * 1024)
+    remainders = []
+    flush = tcp._Connection._flush
+
+    def counting_flush(conn):
+        remainders.append(len(conn._out))
+        flush(conn)
+
+    def exchange(link, payload, finished):
+        response = yield from link.exchange(Message.request("Echo", payload))
+        finished.append((len(response.payload), response.payload == payload))
+
+    with serve(echo_handler) as handle, TcpLink(handle.address) as link:
+        finished = []
+        run_actors([exchange(link, b"warm", finished)])
+        loop = tcp._the_loop()
+
+        def shrink():
+            socks = [link._conn._sock] + [conn._sock for conn in handle._conns]
+            for sock in socks:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return len(socks)
+
+        assert loop.run_sync(shrink) == 2
+        monkeypatch.setattr(tcp._Connection, "_flush", counting_flush)
+        # Both requests are written in one turn, the big one first, and the
+        # server answers them in the order they arrive: each small frame
+        # waits behind the big one on its connection.
+        run_actors([exchange(link, big, finished), exchange(link, b"after", finished)])
+    assert finished == [(4, True), (len(big), True), (5, True)]
+    # The socket took only part of the big frame in one send(): the rest
+    # left on EVENT_WRITE.
+    assert remainders and max(remainders) > 0

@@ -1,9 +1,9 @@
 """The codec's memos: bounded in entries and piece size, and never visible.
 
-encode() and decode() remember checked heads and metadata. These tests
-run more distinct methods and metadata than a memo holds, so pieces are
-evicted and remembered again, and require the same frames, messages and
-exception classes as tests/reference_wire.py throughout.
+encode() and decode() remember checked frames, heads and metadata. These
+tests run more distinct methods and metadata than a memo holds, so pieces
+are evicted and remembered again, and require the same frames, messages
+and exception classes as tests/reference_wire.py throughout.
 """
 
 import random
@@ -15,8 +15,10 @@ from meshcache.wire import DecodeError, EncodeError, Message, decode, encode
 from test_wire_equivalence import outcome
 
 MEMOS = (
+    wire._ENCODED_FRAMES,
     wire._ENCODED_HEADS,
     wire._ENCODED_METADATA,
+    wire._DECODED_FRAMES,
     wire._DECODED_HEADS,
     wire._DECODED_PAIRS,
 )
@@ -25,6 +27,11 @@ MEMOS = (
 def assert_memos_bounded():
     for memo in MEMOS:
         assert len(memo) <= wire._MEMO_ENTRIES
+    # A whole frame is remembered without its 8 id bytes, and by decode()
+    # without its 4-byte length prefix too.
+    bound = wire._MEMO_PIECE_BYTES
+    assert all(len(a) + 8 + len(b) <= bound for a, b in wire._ENCODED_FRAMES.values())
+    assert all(len(key) + 12 <= bound for key in wire._DECODED_FRAMES)
     for memo in (wire._ENCODED_HEADS, wire._ENCODED_METADATA):
         assert all(len(piece) <= wire._MEMO_PIECE_BYTES for piece in memo.values())
     for memo in (wire._DECODED_HEADS, wire._DECODED_PAIRS):
@@ -118,3 +125,74 @@ def test_a_byte_array_decodes_as_its_bytes():
     assert decode(bytearray(frame)) == decode(frame) == reference_wire.decode(bytearray(frame))
     with pytest.raises(DecodeError):
         decode(bytearray(frame[:-1]))
+
+
+def _id_at(message):
+    """Where a frame of message holds its request id."""
+    return 4 + (1 if message.is_request else 2) + 2 + len(message.method)
+
+
+def _with_id(frame, at, request_id):
+    return frame[:at] + request_id.to_bytes(8, "big") + frame[at + 8 :]
+
+
+def _prefixed(body):
+    """body under a length prefix that matches it."""
+    return len(body).to_bytes(4, "big") + body
+
+
+REMEMBERED = (
+    Message.request("GetValue", b"key", request_id=7),
+    Message.request("SetValue", b"w0-1", (("x-hop", "cache"),), request_id=7),
+    Message.response("GetValue", b"value", (("cache-control", "max-age=5"),), request_id=7),
+    Message.response("GetValue", b"bad", status="error", request_id=7),
+)
+
+
+@pytest.mark.parametrize("message", REMEMBERED, ids=lambda m: f"{m.kind}-{m.status}-{m.method}")
+def test_a_remembered_frame_with_another_id_is_taken_from_the_frame_memo(message):
+    frame = encode(message)
+    assert decode(frame) == message
+    at = _id_at(message)
+    for request_id in (0, 1, 8, 2**32, 2**64 - 1):
+        # Were the frame memo missed, the head and metadata memos would
+        # fill again.
+        for memo in MEMOS:
+            if memo is not wire._ENCODED_FRAMES and memo is not wire._DECODED_FRAMES:
+                memo.clear()
+        tagged = message._replace(request_id=request_id)
+        variant = encode(tagged)
+        assert variant == _with_id(frame, at, request_id) == reference_wire.encode(tagged)
+        assert decode(variant) == tagged == reference_wire.decode(variant)
+        assert not wire._ENCODED_HEADS and not wire._ENCODED_METADATA
+        assert not wire._DECODED_HEADS and not wire._DECODED_PAIRS
+    # The id range is checked on every encode, a hit or not.
+    for request_id in (-1, 2**64, "1"):
+        broken = message._replace(request_id=request_id)
+        assert outcome(encode, broken) is outcome(reference_wire.encode, broken)
+        assert outcome(encode, broken) in (EncodeError, TypeError)
+
+
+@pytest.mark.parametrize("message", REMEMBERED, ids=lambda m: f"{m.kind}-{m.status}-{m.method}")
+def test_a_frame_that_differs_outside_its_id_decodes_as_the_reference_decodes_it(message):
+    frame = encode(message)
+    at = _id_at(message)
+    body = frame[4:]
+    variants = []
+    for i in range(len(frame)):
+        if at <= i < at + 8:
+            continue
+        variants += (frame[:i] + bytes([b]) + frame[i + 1 :] for b in range(256) if b != frame[i])
+    for n in range(len(frame)):
+        variants += (frame[:n], _prefixed(body[: max(0, n - 4)]))
+    for b in range(256):
+        variants += (frame + bytes([b]), _prefixed(body + bytes([b])))
+    decoded = 0
+    for variant in variants:
+        decode(frame)  # remembered, even if a variant filled the memo
+        expected = outcome(reference_wire.decode, variant)
+        assert outcome(decode, variant) == expected, variant
+        decoded += isinstance(expected, Message)
+        assert_memos_bounded()
+    # Changes in payload bytes, and in letters of the method, still decode.
+    assert decoded > 0
