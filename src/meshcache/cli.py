@@ -6,7 +6,8 @@
     meshcache aggregate --in results/static-1/0/seed-1 --out metrics.json
     meshcache plot-data --in results/ --kind scatter --out scatter.csv
 
-Exit codes: 0 success, 1 one or more runs failed, 2 unusable config.
+Exit codes: 0 success; 1 a run failed, or an input file does not parse;
+2 unusable config, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -132,29 +133,40 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             print(f"{log_path}: {exc}", file=sys.stderr)
             return 1
         runs[rel] = {**metrics.totals(), "hits": metrics.hits, "misses": metrics.misses}
-    Path(args.out).write_text(
-        json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    text = json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n"
+    try:
+        Path(args.out).write_text(text, encoding="ascii")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"aggregated {len(runs)} run(s) -> {args.out}")
     return 0
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    results = load_results(args.in_dir)
+    try:
+        results = load_results(args.in_dir)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     if not results:
         print(f"no result.json under {args.in_dir}", file=sys.stderr)
         return 2
-    if args.kind == "scatter":
-        write_scatter(results, args.out)
-    else:
-        if len(results) != 1:
-            print(
-                f"timeseries needs exactly one run, found {len(results)}; "
-                "point --in at a single run directory",
-                file=sys.stderr,
-            )
-            return 2
-        write_timeseries(results[0].windows, args.out)
+    if args.kind == "timeseries" and len(results) != 1:
+        print(
+            f"timeseries needs exactly one run, found {len(results)}; "
+            "point --in at a single run directory",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        if args.kind == "scatter":
+            write_scatter(results, args.out)
+        else:
+            write_timeseries(results[0].windows, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.kind} data -> {args.out}")
     return 0
 

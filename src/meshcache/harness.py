@@ -521,7 +521,11 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
 
 
 def read_result(path: str | Path) -> ExperimentResult:
-    return ExperimentResult.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
+    """The result a result.json holds; ValueError naming the file if it holds none."""
+    try:
+        return ExperimentResult.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a run result: {type(exc).__name__}: {exc}") from exc
 
 
 def write_timeseries(windows: Sequence[WindowStats], path: str | Path) -> None:

@@ -15,14 +15,12 @@ Frames are capped at 16 MiB. The encoding is canonical: decode() rejects
 anything encode() would not produce, so decode(encode(m)) == m and any
 accepted byte string re-encodes to itself.
 
-encode() and decode() remember the frames they have checked, in small
+encode() and decode() remember the frames they have checked, in two small
 bounded memos. A sidecar sends the same few frames again and again, each
-differing from the last only in its request id, so a whole-frame memo
-keyed on everything but the id gives encode() the bytes around the id and
-decode() the fields, with no field checked again; the id range is still
-checked on every encode. Below those, the head (kind, status and method)
-and the metadata of each frame are remembered on their own, so a frame
-with a new payload reuses them. A memo miss runs every check.
+differing from the last only in its request id, so a memo keyed on
+everything but the id gives encode() the bytes around the id and decode()
+the fields, with no field checked again; the id range is still checked on
+every encode. A memo miss runs every check.
 """
 
 from __future__ import annotations
@@ -170,29 +168,22 @@ _REQUEST_HEAD = struct.Struct(">BH")  # kind, method length
 _RESPONSE_HEAD = struct.Struct(">BBH")  # kind, status, method length
 _ID_AND_PAIRS = struct.Struct(">QH")  # request id, metadata pair count
 
-# The codec remembers the frames it has already checked, and their pieces:
-# the head (kind byte through method) and the metadata, which a sidecar
-# repeats on almost every frame. A memo is cleared when it reaches
-# _MEMO_ENTRIES entries, and a frame or piece longer than _MEMO_PIECE_BYTES
-# is never kept, so a peer cannot make the memos hold much memory. There
-# is no lock: each memo operation is one dict operation on immutable keys
-# and values, and threads that interleave can at worst clear a memo early
-# or overshoot its bound by one entry each.
+# The codec remembers the frames it has already checked, keyed on
+# everything but the request id. A memo is cleared when it reaches
+# _MEMO_ENTRIES entries, and a frame longer than _MEMO_FRAME_BYTES is never
+# kept, so a peer cannot make the memos hold much memory. There is no lock:
+# each memo operation is one dict operation on immutable keys and values,
+# and threads that interleave can at worst clear a memo early or overshoot
+# its bound by one entry each.
 _MEMO_ENTRIES = 256
-_MEMO_PIECE_BYTES = 256
+_MEMO_FRAME_BYTES = 256
 
 # encode(): the message's fields but the request id -> the frame's bytes
-# before and after the id; (kind, status, method) -> head bytes; metadata
-# tuple -> pair count and pair bytes.
+# before and after the id.
 _ENCODED_FRAMES: dict[tuple, tuple[bytes, bytes]] = {}
-_ENCODED_HEADS: dict[tuple, bytes] = {}
-_ENCODED_METADATA: dict[tuple, bytes] = {}
 # decode(): the frame's bytes after the length prefix, less the 8 id bytes
-# -> the message's fields but the request id; head bytes -> (kind, status,
-# method); one pair's bytes, with both length fields -> (key, value).
+# -> the message's fields but the request id.
 _DECODED_FRAMES: dict[bytes, tuple] = {}
-_DECODED_HEADS: dict[bytes, tuple] = {}
-_DECODED_PAIRS: dict[bytes, tuple[str, str]] = {}
 
 
 def _remember(memo: dict, key: object, value: object) -> None:
@@ -205,8 +196,23 @@ def _remember(memo: dict, key: object, value: object) -> None:
         pass
 
 
-def _encode_head(kind: str, status: str | None, method: str) -> bytes:
-    """Check kind, status and method as encode() requires; their bytes."""
+def encode(message: Message) -> bytes:
+    """Serialize one message to a frame, byte-exact per the layout above.
+
+    A frame encoded before with another request id is rebuilt from the
+    bytes around its id; otherwise every field is checked. The request id
+    is checked on every call.
+    """
+    kind, method, payload, metadata, status, request_id = message
+    try:
+        # A payload too long for the memo is not hashed.
+        frame = _ENCODED_FRAMES.get(message[:5]) if len(payload) <= _MEMO_FRAME_BYTES else None
+    except TypeError:  # an unhashable or unsized field
+        frame = None
+    if frame is not None:
+        if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
+            raise EncodeError("request_id out of u64 range")
+        return frame[0] + _U64.pack(request_id) + frame[1]
     if kind not in _KIND_BYTE:
         raise EncodeError(f"kind must be request or response, got {kind!r}")
     if kind == KIND_REQUEST:
@@ -220,21 +226,17 @@ def _encode_head(kind: str, status: str | None, method: str) -> bytes:
         raise EncodeError("method must be ASCII without commas or newlines")
     if len(method) > 0xFFFF:
         raise EncodeError("method too long")
+    if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
+        raise EncodeError("request_id out of u64 range")
+    if len(metadata) > 0xFFFF:
+        raise EncodeError("too many metadata pairs")
     raw = method.encode("ascii")
     if kind == KIND_REQUEST:
         head = _REQUEST_HEAD.pack(0x00, len(raw)) + raw
     else:
         head = _RESPONSE_HEAD.pack(0x01, _STATUS_BYTE[status], len(raw)) + raw  # type: ignore[index]
-    if len(head) <= _MEMO_PIECE_BYTES:
-        _remember(_ENCODED_HEADS, (kind, status, method), head)
-    return head
-
-
-def _encode_metadata(metadata: tuple[tuple[str, str], ...]) -> bytes:
-    """Check the metadata pairs as encode() requires; their count and bytes."""
-    if len(metadata) > 0xFFFF:
-        raise EncodeError("too many metadata pairs")
-    parts = [_U16.pack(len(metadata))]
+    # parts[0] becomes the length prefix once the body's length is known.
+    parts = [b"", head, _U64.pack(request_id), _U16.pack(len(metadata))]
     for key, value in metadata:
         if not key or not key.isascii() or key != key.lower():
             raise EncodeError(f"metadata key must be non-empty lowercase ASCII: {key!r}")
@@ -245,52 +247,13 @@ def _encode_metadata(metadata: tuple[tuple[str, str], ...]) -> bytes:
         kb = key.encode("ascii")
         vb = value.encode("ascii")
         parts += (_U16.pack(len(kb)), kb, _U16.pack(len(vb)), vb)
-    piece = b"".join(parts)
-    if len(piece) <= _MEMO_PIECE_BYTES:
-        _remember(_ENCODED_METADATA, metadata, piece)
-    return piece
-
-
-def encode(message: Message) -> bytes:
-    """Serialize one message to a frame, byte-exact per the layout above.
-
-    A frame encoded before with another request id is rebuilt from the
-    bytes around its id. Otherwise the head and the metadata come from
-    the memos when seen before, and are checked and remembered otherwise;
-    the request id and the frame cap are checked on every call.
-    """
-    kind, method, payload, metadata, status, request_id = message
-    try:
-        # A payload too long for the memo is not hashed.
-        frame = _ENCODED_FRAMES.get(message[:5]) if len(payload) <= _MEMO_PIECE_BYTES else None
-    except TypeError:  # an unhashable or unsized field
-        frame = None
-    if frame is not None:
-        if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
-            raise EncodeError("request_id out of u64 range")
-        return frame[0] + _U64.pack(request_id) + frame[1]
-    try:
-        head = _ENCODED_HEADS.get((kind, status, method))
-    except TypeError:  # an unhashable field
-        head = None
-    if head is None:
-        head = _encode_head(kind, status, method)
-    if not 0 <= request_id <= 0xFFFFFFFFFFFFFFFF:
-        raise EncodeError("request_id out of u64 range")
-    try:
-        pairs = _ENCODED_METADATA.get(metadata)
-    except TypeError:
-        pairs = None
-    if pairs is None:
-        pairs = _encode_metadata(metadata)
-    # The body is everything after the length prefix.
-    total = len(head) + len(pairs) + len(payload) + 12
+    parts += (_U32.pack(len(payload)), payload)
+    total = sum(map(len, parts))
     if total > MAX_FRAME_LEN:
         raise EncodeError("payload pushes frame past the 16 MiB cap")
-    frame = b"".join(
-        (_U32.pack(total), head, _U64.pack(request_id), pairs, _U32.pack(len(payload)), payload)
-    )
-    if total + 4 <= _MEMO_PIECE_BYTES:
+    parts[0] = _U32.pack(total)
+    frame = b"".join(parts)
+    if total + 4 <= _MEMO_FRAME_BYTES:
         at = 4 + len(head)
         _remember(_ENCODED_FRAMES, message[:5], (frame[:at], frame[at + 8 :]))
     return frame
@@ -305,13 +268,11 @@ def decode(data: bytes) -> Message:
 
     One pass over the buffer: every length is validated against the
     frame before it is read, and the resulting message must satisfy the
-    same invariants encode() enforces. Once the length prefix and the
-    place of the request id are known to be good, a frame that differs
+    same invariants encode() enforces. Once the head is read and the
+    request id is known to lie inside the frame, a frame that differs
     from one decoded before only in its id takes that frame's fields,
     unchecked: the remembered frame passed every check, and any id is
-    valid. Otherwise a head or metadata pair whose bytes were decoded
-    before is taken from the memos; its bytes determine its own length,
-    so a piece cut short is never found there.
+    valid.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -329,46 +290,36 @@ def decode(data: bytes) -> Message:
     if end < 5:
         raise _short()
     kind_byte = data[4]
-    pos = 6 if kind_byte == 0x01 else 5
-    # None (never a key) stands for a head, or a frame, too short to read
-    # or too long to remember.
-    raw = frame_key = None
-    if pos + 2 <= end:
-        stop = pos + 2 + _U16.unpack_from(data, pos)[0]
-        if stop - 4 <= _MEMO_PIECE_BYTES:
-            raw = data[4:stop]
-            if end <= _MEMO_PIECE_BYTES and stop + 8 <= end:
-                frame_key = raw + data[stop + 8 :]
-                fields = _DECODED_FRAMES.get(frame_key)
-                if fields is not None:
-                    return _new(Message, fields + _U64.unpack_from(data, stop))
-    head = _DECODED_HEADS.get(raw)
+    if kind_byte == 0x00:
+        kind, status, pos = KIND_REQUEST, None, 5
+    elif kind_byte == 0x01:
+        if end < 6:
+            raise _short()
+        status = _BYTE_STATUS.get(data[5])
+        if status is None:
+            raise DecodeError(f"unknown status byte 0x{data[5]:02x}")
+        kind, pos = KIND_RESPONSE, 6
+    else:
+        raise UnknownKindError(f"unknown kind byte 0x{kind_byte:02x}")
+    if pos + 2 > end:
+        raise _short()
+    stop = pos + 2 + _U16.unpack_from(data, pos)[0]
+    if stop > end:
+        raise _short()
+    # None (never a key) stands for a frame too short to hold its id or
+    # too long to remember.
+    frame_key = None
+    if end <= _MEMO_FRAME_BYTES and stop + 8 <= end:
+        frame_key = data[4:stop] + data[stop + 8 :]
+        fields = _DECODED_FRAMES.get(frame_key)
+        if fields is not None:
+            return _new(Message, fields + _U64.unpack_from(data, stop))
     try:
-        if head is None:
-            if kind_byte == 0x00:
-                kind, status = KIND_REQUEST, None
-            elif kind_byte == 0x01:
-                if end < 6:
-                    raise _short()
-                status = _BYTE_STATUS.get(data[5])
-                if status is None:
-                    raise DecodeError(f"unknown status byte 0x{data[5]:02x}")
-                kind = KIND_RESPONSE
-            else:
-                raise UnknownKindError(f"unknown kind byte 0x{kind_byte:02x}")
-            if pos + 2 > end:
-                raise _short()
-            if stop > end:
-                raise _short()
-            method = data[pos + 2 : stop].decode("ascii")
-            if not _method_ok(method):
-                raise BadTextError("method contains a comma or newline")
-            if kind_byte == 0x00 and not method:
-                raise DecodeError("request method must be non-empty")
-            if raw is not None:
-                _remember(_DECODED_HEADS, raw, (kind, status, method))
-        else:
-            kind, status, method = head
+        method = data[pos + 2 : stop].decode("ascii")
+        if not _method_ok(method):
+            raise BadTextError("method contains a comma or newline")
+        if kind_byte == 0x00 and not method:
+            raise DecodeError("request method must be non-empty")
         pos = stop + 10
         if pos > end:
             raise _short()
@@ -380,23 +331,16 @@ def decode(data: bytes) -> Message:
             stop = pos + 2 + _U16.unpack_from(data, pos)[0]
             if stop > end:
                 raise _short()
-            after = stop + 2 + _U16.unpack_from(data, stop)[0] if stop + 2 <= end else end + 1
-            if after > end:
-                data[pos + 2 : stop].decode("ascii")  # a bad key is reported before the cut
+            key = data[pos + 2 : stop].decode("ascii")
+            if stop + 2 > end:
                 raise _short()
-            # None (never a key) stands for a pair too long to remember.
-            raw = data[pos:after] if after - pos <= _MEMO_PIECE_BYTES else None
-            pair = _DECODED_PAIRS.get(raw)
-            if pair is None:
-                key = data[pos + 2 : stop].decode("ascii")
-                value = data[stop + 2 : after].decode("ascii")
-                if not key or key != key.lower():
-                    raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
-                pair = (key, value)
-                if raw is not None:
-                    _remember(_DECODED_PAIRS, raw, pair)
-            metadata.append(pair)
-            pos = after
+            pos = stop + 2 + _U16.unpack_from(data, stop)[0]
+            if pos > end:
+                raise _short()
+            value = data[stop + 2 : pos].decode("ascii")
+            if not key or key != key.lower():
+                raise BadTextError(f"metadata key must be non-empty lowercase: {key!r}")
+            metadata.append((key, value))
     except UnicodeDecodeError as exc:
         raise BadTextError("method or metadata is not ASCII") from exc
     if pos + 4 > end:

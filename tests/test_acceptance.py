@@ -330,7 +330,8 @@ def test_criterion_07_cache_expiry_exactness(capsys):
     )
 
 
-def test_criterion_08_oracle_equivalence(capsys):
+def micro_traces():
+    """Criterion 8's 100 seeded micro-traces: (config id, scripted ops) each."""
     rng = np.random.default_rng(77)
     config_pool = (
         "static-0",
@@ -342,14 +343,18 @@ def test_criterion_08_oracle_equivalence(capsys):
         "updaterisk-0.5",
         "updaterisk-0.9",
     )
-    mismatches = 0
     for _ in range(100):
         config = config_pool[int(rng.integers(0, len(config_pool)))]
         count = int(rng.integers(1, 21))
         steps_ms = rng.integers(0, 3000, size=count)
         at_ms = np.cumsum(steps_ms)
         kinds = ["query" if rng.random() < 0.7 else "update" for _ in range(count)]
-        ops = [ScriptedOp(int(ms) / 1000.0, kind) for ms, kind in zip(at_ms, kinds)]
+        yield config, [ScriptedOp(int(ms) / 1000.0, kind) for ms, kind in zip(at_ms, kinds)]
+
+
+def test_criterion_08_oracle_equivalence(capsys):
+    mismatches = 0
+    for config, ops in micro_traces():
         rows = run_scripted_trace(ops, config)
         got = [(r.timestamp_ns, r.component, r.method, r.event, r.value) for r in rows]
         want = replay_trace([(op.at_s, op.kind) for op in ops], config)

@@ -228,6 +228,37 @@ def test_plot_data_with_no_results_is_a_config_error(tmp_path, capsys):
     assert "no result.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"config_id": "static-1"}', "not json", "[]", '{"cache": 1}'],
+    ids=["missing-fields", "not-json", "a-list", "wrong-types"],
+)
+def test_plot_data_names_a_result_file_that_does_not_parse(tmp_path, capsys, text):
+    run = tmp_path / "static-1" / "0" / "seed-1"
+    run.mkdir(parents=True)
+    (run / "result.json").write_text(text)
+    assert main(["plot-data", "--in", str(tmp_path), "--kind", "scatter",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(run / "result.json") in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_an_output_in_a_missing_directory_is_reported_not_raised(tmp_path, capsys):
+    out = tmp_path / "results"
+    main(["run", "--config-id", "static-1", "--duration-s", "10", "--out", str(out)])
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "out.csv"
+    for argv in (
+        ["aggregate", "--in", str(out)],
+        ["plot-data", "--in", str(out), "--kind", "scatter"],
+        ["plot-data", "--in", str(out / "static-1" / "0" / "seed-1"), "--kind", "timeseries"],
+    ):
+        assert main([*argv, "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+    assert not missing.parent.exists()
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

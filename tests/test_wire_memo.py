@@ -1,9 +1,9 @@
-"""The codec's memos: bounded in entries and piece size, and never visible.
+"""The codec's two frame memos: bounded in entries and frame size, and never visible.
 
-encode() and decode() remember checked frames, heads and metadata. These
-tests run more distinct methods and metadata than a memo holds, so pieces
-are evicted and remembered again, and require the same frames, messages
-and exception classes as tests/reference_wire.py throughout.
+encode() and decode() remember checked frames, keyed on everything but the
+request id. These tests run more distinct frames than a memo holds, so
+frames are evicted and remembered again, and require the same frames,
+messages and exception classes as tests/reference_wire.py throughout.
 """
 
 import random
@@ -14,28 +14,17 @@ from meshcache import wire
 from meshcache.wire import DecodeError, EncodeError, Message, decode, encode
 from test_wire_equivalence import outcome
 
-MEMOS = (
-    wire._ENCODED_FRAMES,
-    wire._ENCODED_HEADS,
-    wire._ENCODED_METADATA,
-    wire._DECODED_FRAMES,
-    wire._DECODED_HEADS,
-    wire._DECODED_PAIRS,
-)
+MEMOS = (wire._ENCODED_FRAMES, wire._DECODED_FRAMES)
 
 
 def assert_memos_bounded():
     for memo in MEMOS:
         assert len(memo) <= wire._MEMO_ENTRIES
-    # A whole frame is remembered without its 8 id bytes, and by decode()
-    # without its 4-byte length prefix too.
-    bound = wire._MEMO_PIECE_BYTES
+    # A frame is remembered without its 8 id bytes, and by decode() without
+    # its 4-byte length prefix too.
+    bound = wire._MEMO_FRAME_BYTES
     assert all(len(a) + 8 + len(b) <= bound for a, b in wire._ENCODED_FRAMES.values())
     assert all(len(key) + 12 <= bound for key in wire._DECODED_FRAMES)
-    for memo in (wire._ENCODED_HEADS, wire._ENCODED_METADATA):
-        assert all(len(piece) <= wire._MEMO_PIECE_BYTES for piece in memo.values())
-    for memo in (wire._DECODED_HEADS, wire._DECODED_PAIRS):
-        assert all(len(key) <= wire._MEMO_PIECE_BYTES for key in memo)
 
 
 def test_the_codec_agrees_with_the_reference_past_the_memo_bound():
@@ -43,7 +32,7 @@ def test_the_codec_agrees_with_the_reference_past_the_memo_bound():
     distinct = 3 * wire._MEMO_ENTRIES
     methods = [f"Method{i}" for i in range(distinct)]
     metadata = [(("cache-control", f"max-age={i}"),) for i in range(distinct)]
-    # A few long-lived pieces recur among the many, as a sidecar's would.
+    # A few long-lived frames recur among the many, as a sidecar's would.
     messages = []
     for i in range(4 * distinct):
         n = i if i < distinct else rng.randrange(distinct)
@@ -56,23 +45,24 @@ def test_the_codec_agrees_with_the_reference_past_the_memo_bound():
             messages.append(
                 Message.response(methods[n], b"v", metadata[n], status=status, request_id=i)
             )
-    cleared = 0
+    cleared = [0, 0]
     for message in messages:
-        before = len(wire._ENCODED_HEADS)
+        before = [len(memo) for memo in MEMOS]
         frame = encode(message)
-        cleared += len(wire._ENCODED_HEADS) < before
         assert frame == reference_wire.encode(message)
         assert decode(frame) == message == reference_wire.decode(frame)
+        for i, memo in enumerate(MEMOS):
+            cleared[i] += len(memo) < before[i]
         # A memo hit must not hide a broken field beside it.
         broken = message._replace(request_id=-1)
         assert outcome(encode, broken) is EncodeError
         cut = frame[:-1]
         assert outcome(decode, cut) == outcome(reference_wire.decode, cut)
         assert_memos_bounded()
-    assert cleared > 0, "no memo reached its bound"
+    assert all(cleared), "a memo never reached its bound"
 
 
-def test_pieces_longer_than_the_bound_are_decoded_but_not_remembered():
+def test_frames_longer_than_the_bound_are_decoded_but_not_remembered():
     # A value is at most 65535 bytes long (u16 length), so the metadata
     # here is 17 of the longest values: over 1 MiB in all.
     long_value = "v" * 0xFFFF
@@ -82,38 +72,33 @@ def test_pieces_longer_than_the_bound_are_decoded_but_not_remembered():
     assert len(frame) > 1024 * 1024
     assert frame == reference_wire.encode(message)
     assert decode(frame) == message == reference_wire.decode(frame)
-    assert metadata not in wire._ENCODED_METADATA
-    assert ("response", "ok", "M" * 300) not in wire._ENCODED_HEADS
+    assert message[:5] not in wire._ENCODED_FRAMES
     for memo in MEMOS:
         assert long_value not in repr(list(memo.items()))
     assert_memos_bounded()
 
 
-def test_a_piece_of_exactly_the_bound_is_remembered_and_one_byte_more_is_not():
-    bound = wire._MEMO_PIECE_BYTES
-
-    def pair_of(size):
-        # One pair's bytes: 2 + key + 2 + value.
-        return (("k", "v" * (size - 5)),)
-
-    def frame_of(pairs):
-        return encode(Message.response("M", b"", pairs))
-
-    # The encoded metadata piece holds the 2-byte pair count too.
-    frame_of(pair_of(bound - 2))
-    assert pair_of(bound - 2) in wire._ENCODED_METADATA
-    frame_of(pair_of(bound - 1))
-    assert pair_of(bound - 1) not in wire._ENCODED_METADATA
+def test_a_frame_of_exactly_the_bound_is_remembered_and_one_byte_more_is_not():
+    bound = wire._MEMO_FRAME_BYTES
+    # prefix, kind and status, method, id, pair count, payload length
+    fixed = 4 + 2 + 2 + 1 + 8 + 2 + 4
     for size, kept in ((bound, True), (bound + 1, False)):
-        frame = frame_of(pair_of(size))
-        assert decode(frame).metadata == pair_of(size)
-        pair_at = 4 + 2 + 2 + 1 + 8 + 2  # prefix, kind and status, method, id, count
-        assert (frame[pair_at : pair_at + size] in wire._DECODED_PAIRS) is kept
+        message = Message.response("M", b"p" * (size - fixed), request_id=3)
+        frame = encode(message)
+        assert len(frame) == size
+        assert (message[:5] in wire._ENCODED_FRAMES) is kept
+        assert decode(frame) == message
+        at = _id_at(message)
+        assert (frame[4:at] + frame[at + 8 :] in wire._DECODED_FRAMES) is kept
+    assert_memos_bounded()
 
 
 def test_unhashable_fields_are_checked_and_encoded_without_being_remembered():
+    for memo in MEMOS:
+        memo.clear()
     listed = Message("response", "M", b"", [["k", "v"]], "ok", 1)
     assert encode(listed) == reference_wire.encode(listed)
+    assert not wire._ENCODED_FRAMES
     assert outcome(encode, listed._replace(metadata=[["K", "v"]])) is EncodeError
     assert outcome(encode, listed._replace(method=["M"])) == outcome(
         reference_wire.encode, listed._replace(method=["M"])
@@ -150,22 +135,19 @@ REMEMBERED = (
 
 
 @pytest.mark.parametrize("message", REMEMBERED, ids=lambda m: f"{m.kind}-{m.status}-{m.method}")
-def test_a_remembered_frame_with_another_id_is_taken_from_the_frame_memo(message):
+def test_a_remembered_frame_with_another_id_is_taken_from_the_frame_memo(message, monkeypatch):
     frame = encode(message)
     assert decode(frame) == message
     at = _id_at(message)
+    stores = []
+    # Only a memo miss stores; a hit returns before it.
+    monkeypatch.setattr(wire, "_remember", lambda memo, key, value: stores.append(key))
     for request_id in (0, 1, 8, 2**32, 2**64 - 1):
-        # Were the frame memo missed, the head and metadata memos would
-        # fill again.
-        for memo in MEMOS:
-            if memo is not wire._ENCODED_FRAMES and memo is not wire._DECODED_FRAMES:
-                memo.clear()
         tagged = message._replace(request_id=request_id)
         variant = encode(tagged)
         assert variant == _with_id(frame, at, request_id) == reference_wire.encode(tagged)
         assert decode(variant) == tagged == reference_wire.decode(variant)
-        assert not wire._ENCODED_HEADS and not wire._ENCODED_METADATA
-        assert not wire._DECODED_HEADS and not wire._DECODED_PAIRS
+    assert stores == []
     # The id range is checked on every encode, a hit or not.
     for request_id in (-1, 2**64, "1"):
         broken = message._replace(request_id=request_id)
