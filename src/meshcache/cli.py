@@ -65,6 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_output_dir(path: Path) -> bool:
+    """Create an output directory before any run; False, reported, if it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = ExperimentConfig(
@@ -79,6 +89,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     out = run_dir(args.out, canonical, args.phase, args.seed)
+    if not _make_output_dir(out):
+        return 2
     try:
         result = run_experiment(cfg, out)
     except Exception as exc:  # noqa: BLE001 - report, signal via exit code
@@ -100,6 +112,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return 2
     except ValueError as exc:
         print(f"bad matrix: {exc}", file=sys.stderr)
+        return 2
+    if not _make_output_dir(Path(args.out)):
         return 2
     outcome = run_suite(
         matrix.config_ids,

@@ -40,7 +40,7 @@ import math
 from array import array
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -521,9 +521,25 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
 
 
 def read_result(path: str | Path) -> ExperimentResult:
-    """The result a result.json holds; ValueError naming the file if it holds none."""
+    """The result a result.json holds; ValueError naming the file if it holds
+    none, or a value write_result never writes."""
     try:
-        return ExperimentResult.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
+        result = ExperimentResult.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
+        parse_config_id(result.config_id)
+        if result.phase_tag not in PHASE_SHIFTS:
+            raise ValueError(f"phase {result.phase_tag!r} is not one of {sorted(PHASE_SHIFTS)}")
+        counts = {
+            f.name: getattr(result, f.name) for f in fields(RunMetrics) if f.name != "windows"
+        }
+        counts.update(asdict(result.cache_stats), seed=result.seed)
+        for name, value in counts.items():
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an integer")
+        for window in map(astuple, result.windows):
+            if not all(type(v) in (int, float) for v in window):
+                raise ValueError(f"window {list(window)!r} is not four numbers")
+        result.totals()  # both ratios have something to divide by
+        return result
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a run result: {type(exc).__name__}: {exc}") from exc
 

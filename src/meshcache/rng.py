@@ -18,22 +18,22 @@ the same floats without numpy, following numpy 2.x:
                 embedded below: recomputing them in double precision does
                 not reproduce numpy's.
 
-A pure-Python draw costs about ten times a numpy one, so each (seed, child)
-stream is generated once per process into a shared prefix that every run
-of that seed reads from its start: a suite runs each seed once per config
-and phase. The prefixes are bounded: at most MAX_PREFIX_STREAMS of them,
-all dropped when a new one would exceed that, and at most
-MAX_PREFIX_DRAWS draws each; a run that reads past its prefix continues
-the stream with its own generator.
+A pure-Python draw costs about ten times a numpy one, and a suite runs
+each seed once per config and phase, so the first MAX_PREFIX_DRAWS draws
+of each (seed, child) stream are made once per process and memoised, at
+most MAX_PREFIX_STREAMS of them (least recently used dropped first).
+exponential_stream yields that prefix, then goes on from the state after
+it on its own.
 """
 
 from __future__ import annotations
 
 from array import array
 from binascii import a2b_base64
+from collections.abc import Iterator
+from functools import lru_cache
 from math import exp, log1p
 from struct import unpack_from
-from threading import Lock
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -235,14 +235,14 @@ def pcg64_seed(words: tuple[int, int, int, int]) -> tuple[int, int]:
     return (state * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def exponentials(state: int, inc: int, n: int) -> tuple[list[float], int]:
+def exponentials(state: int, inc: int, n: int) -> tuple[array, int]:
     """The next n standard exponential draws from a PCG64 state, and the state after them.
 
     One draw is numpy's random_standard_exponential: the ziggurat on one
     64-bit output, and in about 1 % of draws a second output for the
     idx-0 tail or the wedge test, which may reject and start again.
     """
-    draws: list[float] = []
+    draws = array("d")
     append = draws.append
     mult, ke, we, fe, mask128, mask64 = _PCG64_MULT, _KE, _WE, _FE, _MASK128, _MASK64
     # rotr64(v, r) is (v * (2**64 + 1)) >> r, masked to 64 bits: v beside itself, shifted.
@@ -270,65 +270,24 @@ def exponentials(state: int, inc: int, n: int) -> tuple[list[float], int]:
     return draws, state
 
 
-class _Prefix:
-    """One stream's draws made so far, with the generator state after them."""
+@lru_cache(maxsize=MAX_PREFIX_STREAMS)
+def _prefix(seed: int, child: int) -> tuple[memoryview, int, int]:
+    """The stream's first MAX_PREFIX_DRAWS draws, the PCG64 state after them, and its inc.
 
-    __slots__ = ("draws", "state", "inc", "lock")
-
-    def __init__(self, seed: int, child: int) -> None:
-        self.state, self.inc = pcg64_seed(seed_state(seed, child))
-        self.draws = array("d")
-        self.lock = Lock()
-
-    def extend_to(self, n: int) -> None:
-        """Make the first min(n, MAX_PREFIX_DRAWS) draws."""
-        with self.lock:
-            short = min(n, MAX_PREFIX_DRAWS) - len(self.draws)
-            if short > 0:
-                more, self.state = exponentials(self.state, self.inc, short)
-                self.draws.fromlist(more)
+    Every stream of (seed, child) reads the one result, so its draws are read-only.
+    """
+    state, inc = pcg64_seed(seed_state(seed, child))
+    draws, state = exponentials(state, inc, MAX_PREFIX_DRAWS)
+    return memoryview(draws).toreadonly(), state, inc
 
 
-# (seed, child) -> its prefix. Cleared when full, so it never holds more
-# than MAX_PREFIX_STREAMS prefixes; a stream keeps the prefix it started on.
-_PREFIXES: dict[tuple[int, int], _Prefix] = {}
-
-
-def _shared_prefix(seed: int, child: int) -> _Prefix:
-    prefix = _PREFIXES.get((seed, child))
-    if prefix is None:
-        if len(_PREFIXES) >= MAX_PREFIX_STREAMS:
-            _PREFIXES.clear()
-        prefix = _PREFIXES.setdefault((seed, child), _Prefix(seed, child))
-    return prefix
-
-
-class ExponentialStream:
+def exponential_stream(seed: int, child: int) -> Iterator[float]:
     """The standard exponential draws of SeedSequence(seed).spawn(2)[child], from the first.
 
-    Draws within the shared prefix are read from it; past its cap the
-    stream continues on a generator of its own.
+    The memoised prefix comes first; past it the stream continues from the
+    prefix's end state, MAX_PREFIX_DRAWS draws at a time.
     """
-
-    __slots__ = ("_prefix", "_taken", "_own_state")
-
-    def __init__(self, seed: int, child: int) -> None:
-        self._prefix = _shared_prefix(seed, child)
-        self._taken = 0
-        self._own_state: int | None = None
-
-    def standard_exponential(self, n: int) -> list[float]:
-        """The stream's next n draws, as numpy's standard_exponential(n) gives them."""
-        start = self._taken
-        end = self._taken = start + n
-        prefix = self._prefix
-        if end > len(prefix.draws):
-            prefix.extend_to(end)
-        draws = prefix.draws[start:end].tolist()
-        if len(draws) < n:
-            if self._own_state is None:
-                with prefix.lock:
-                    self._own_state = prefix.state
-            more, self._own_state = exponentials(self._own_state, prefix.inc, n - len(draws))
-            draws += more
-        return draws
+    draws, state, inc = _prefix(seed, child)
+    while True:
+        yield from draws
+        draws, state = exponentials(state, inc, MAX_PREFIX_DRAWS)

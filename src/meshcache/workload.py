@@ -20,8 +20,7 @@ instantaneous rate (mean 1000 / rate_at(t) ms), rounded to a whole
 number of milliseconds and clamped to >= 1. The two actors' streams are
 numpy's SeedSequence(seed).spawn(2) -> PCG64 -> standard_exponential,
 computed bit for bit in pure Python by meshcache.rng, so a run needs no
-numpy. Each actor takes its draws in blocks (ExponentialGaps), the same
-stream as one draw per gap.
+numpy. Each actor reads its stream as one iterator of standard draws.
 
 Nothing that is the same for every request is built per request: the
 GetValue request, the server's SetValue ack and its GetValue response
@@ -39,17 +38,13 @@ lands mid-flight is not miscounted as staleness.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
-from .clock import NS_PER_MS, Clock
+from .clock import NS_PER_MS, NS_PER_S, Clock
 from .effects import Link, Sleep, TransportError
 from .eventlog import EventLog
 from .wire import STATUS_OK, Message
-
-if TYPE_CHECKING:
-    from .rng import ExponentialStream
 
 GET_METHOD = "GetValue"
 SET_METHOD = "SetValue"
@@ -64,10 +59,6 @@ PHASE_SHIFTS: dict[str, float] = {
 }
 
 DEFAULT_PERIOD_S = 1800.0
-
-# Standard exponential draws an actor takes from its stream per refill.
-# Small, so a run's draws ahead of need stay a few kilobytes.
-GAP_BLOCK = 256
 
 GET_REQUEST = Message.request(GET_METHOD)
 # The actors build their Sleep with tuple.__new__, skipping the named
@@ -115,8 +106,11 @@ class WorkloadConfig:
             raise ValueError(
                 f"phase_tag must be one of {sorted(PHASE_SHIFTS)}, got {self.phase_tag!r}"
             )
-        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
-            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        # The run's timestamps are int64 nanoseconds, as the event log keeps them.
+        if not (self.duration_s > 0 and self.duration_s * NS_PER_S < 2**63):
+            raise ValueError(
+                f"duration_s must be positive and finite in nanoseconds, got {self.duration_s}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -130,16 +124,17 @@ class WorkloadConfig:
             UPDATE_SINUSOID, period_s=self.duration_s, phase=PHASE_SHIFTS[self.phase_tag]
         )
 
-    def actor_rngs(self) -> tuple[ExponentialStream, ExponentialStream]:
-        """Independent (query, update) streams from the run seed: children 0
-        and 1 of numpy's SeedSequence(seed).spawn(2).
+    def actor_rngs(self) -> tuple[Iterator[float], Iterator[float]]:
+        """Independent (query, update) iterators of standard exponential
+        draws from the run seed: children 0 and 1 of numpy's
+        SeedSequence(seed).spawn(2).
 
         The generator is imported here, not with the module, so a process
         that only serves (a live sidecar) never loads it.
         """
-        from .rng import ExponentialStream
+        from .rng import exponential_stream
 
-        return ExponentialStream(self.seed, 0), ExponentialStream(self.seed, 1)
+        return exponential_stream(self.seed, 0), exponential_stream(self.seed, 1)
 
 
 def rate_at(cfg: SinusoidConfig, t_s: float) -> float:
@@ -148,28 +143,14 @@ def rate_at(cfg: SinusoidConfig, t_s: float) -> float:
     )
 
 
-class ExponentialGaps:
-    """One stream's exponential draws, taken GAP_BLOCK at a time.
+def next_delay_ms(cfg: SinusoidConfig, t_s: float, draws: Iterator[float]) -> int:
+    """Poisson-process inter-request delay in whole milliseconds, at least 1.
 
-    exponential(scale) is bitwise numpy's Generator.exponential(scale) on
-    the same stream: numpy scales one standard exponential draw by scale,
-    and a block of standard draws is the same stream as single draws.
+    mean_ms * next(draws) is numpy's Generator.exponential(mean_ms) on the
+    same stream bit for bit: numpy scales one standard draw.
     """
-
-    def __init__(self, rng: ExponentialStream) -> None:
-        self._rng = rng
-        self._draws: list[float] = []
-
-    def exponential(self, scale: float) -> float:
-        if not self._draws:
-            self._draws = self._rng.standard_exponential(GAP_BLOCK)[::-1]
-        return scale * self._draws.pop()
-
-
-def next_delay_ms(cfg: SinusoidConfig, t_s: float, rng: ExponentialGaps) -> int:
-    """Poisson-process inter-request delay in whole milliseconds, at least 1."""
     mean_ms = 1000.0 / rate_at(cfg, t_s)
-    delay_ms = int(round(rng.exponential(mean_ms)))
+    delay_ms = int(round(mean_ms * next(draws)))
     return delay_ms if delay_ms > 1 else 1
 
 
@@ -272,17 +253,16 @@ def query_actor(
     clock: Clock,
     cache_link: Link,
     ledger: StalenessLedger,
-    rng: ExponentialStream,
+    draws: Iterator[float],
     start_ns: int,
     end_ns: int,
     log: EventLog,
 ) -> Generator:
     """Issue GetValue at the sinusoid's pace until end_ns."""
-    gaps = ExponentialGaps(rng)
     while clock.now_ns() < end_ns:
         logged_ns = yield from query_once(clock, cache_link, ledger, log)
         t_s = (logged_ns - start_ns) / 1e9
-        yield _new(Sleep, (next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS,))
+        yield _new(Sleep, (next_delay_ms(sinusoid, t_s, draws) * NS_PER_MS,))
 
 
 def update_actor(
@@ -290,13 +270,12 @@ def update_actor(
     clock: Clock,
     server_link: Link,
     ledger: StalenessLedger,
-    rng: ExponentialStream,
+    draws: Iterator[float],
     start_ns: int,
     end_ns: int,
     log: EventLog,
 ) -> Generator:
     """Write fresh unique values at the sinusoid's pace until end_ns."""
-    gaps = ExponentialGaps(rng)
     counter = 0
     while clock.now_ns() < end_ns:
         counter += 1
@@ -304,4 +283,4 @@ def update_actor(
             clock, server_link, ledger, str(counter).encode("ascii"), log
         )
         t_s = (logged_ns - start_ns) / 1e9
-        yield _new(Sleep, (next_delay_ms(sinusoid, t_s, gaps) * NS_PER_MS,))
+        yield _new(Sleep, (next_delay_ms(sinusoid, t_s, draws) * NS_PER_MS,))

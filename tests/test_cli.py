@@ -103,7 +103,7 @@ def test_suite_matrix_with_unusable_run_knobs_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("duration", ["nan", "inf", "-1", "1e300", "1e10"])
 @pytest.mark.parametrize("command", ["run", "suite"])
 def test_a_duration_that_is_not_positive_and_finite_is_a_config_error(
     tmp_path, capsys, command, duration
@@ -241,6 +241,66 @@ def test_plot_data_names_a_result_file_that_does_not_parse(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(run / "result.json") in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def set_field(data, field, value):
+    data[field] = value
+
+
+def set_hits(data, field, value):
+    data["cache"]["hits"] = value
+
+
+def set_windows(data, field, value):
+    data["windows"][0] = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize(
+    "edit, field, value",
+    [
+        (set_field, "config_id", "bogus-1"),
+        (set_field, "total_queries", "x"),
+        (set_field, "total_queries", 0),
+        (set_field, "phase", "zz"),
+        (set_windows, None, None),
+        (set_hits, None, "x"),
+    ],
+    ids=["config-id", "count", "no-queries", "phase", "window", "cache-hits"],
+)
+@pytest.mark.parametrize("kind", ["scatter", "timeseries"])
+def test_plot_data_refuses_a_result_value_write_result_never_writes(
+    tmp_path, capsys, kind, edit, field, value
+):
+    out = tmp_path / "results"
+    main(["run", "--config-id", "static-1", "--duration-s", "30", "--out", str(out)])
+    run = out / "static-1" / "0" / "seed-1"
+    data = json.loads((run / "result.json").read_text())
+    edit(data, field, value)
+    (run / "result.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["plot-data", "--in", str(run), "--kind", kind,
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(run / "result.json") in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_an_output_that_cannot_be_created_is_a_config_error(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / below
+    if command == "run":
+        argv = ["run", "--config-id", "static-1", "--duration-s", "5", "--out", str(out)]
+    else:
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text("static-1\nphases=0\nseeds=1\nduration_s=5\n")
+        argv = ["suite", "--matrix", str(matrix), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cannot write output: ")
+    assert taken.read_text() == "a file\n"
 
 
 def test_an_output_in_a_missing_directory_is_reported_not_raised(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,9 @@ from meshcache.harness import compute_windows
 from meshcache.sim import Simulation
 from meshcache.wire import Message
 from meshcache.workload import (
-    GAP_BLOCK,
     PHASE_SHIFTS,
     QUERY_SINUSOID,
     UPDATE_SINUSOID,
-    ExponentialGaps,
     SinusoidConfig,
     StalenessLedger,
     ValueServer,
@@ -92,22 +91,34 @@ def test_workload_config_validation():
         WorkloadConfig(seed=2**64)
 
 
+@pytest.mark.parametrize("duration_s", [9.3e9, 1e10, 1e300])
+def test_a_duration_past_int64_nanoseconds_is_refused(duration_s):
+    # The run's nanosecond timestamps, as the event log keeps them, are int64.
+    WorkloadConfig(duration_s=9.2e9)
+    with pytest.raises(ValueError, match="duration_s must be positive and finite in nanoseconds"):
+        WorkloadConfig(duration_s=duration_s)
+
+
+def take(stream, n):
+    return list(islice(stream, n))
+
+
 def test_actor_rngs_are_deterministic_and_independent():
     a_query, a_update = WorkloadConfig(seed=5).actor_rngs()
     b_query, b_update = WorkloadConfig(seed=5).actor_rngs()
-    first_queries = a_query.standard_exponential(4)
-    assert first_queries == b_query.standard_exponential(4)
-    assert a_update.standard_exponential(4) == b_update.standard_exponential(4)
-    assert a_update.standard_exponential(4) != a_query.standard_exponential(4)
+    first_queries = take(a_query, 4)
+    assert first_queries == take(b_query, 4)
+    assert take(a_update, 4) == take(b_update, 4)
+    assert take(a_update, 4) != take(a_query, 4)
     c_query, _ = WorkloadConfig(seed=6).actor_rngs()
-    assert first_queries != c_query.standard_exponential(4)
+    assert first_queries != take(c_query, 4)
 
 
 # --- pacing ---
 
 
 def test_delays_are_whole_positive_milliseconds():
-    rng = ExponentialGaps(WorkloadConfig(seed=0).actor_rngs()[0])
+    rng = WorkloadConfig(seed=0).actor_rngs()[0]
     fast = SinusoidConfig(mean_rate=900.0, amplitude=0.0)
     draws = [next_delay_ms(fast, 0.0, rng) for _ in range(200)]
     assert all(isinstance(d, int) and d >= 1 for d in draws)
@@ -115,7 +126,7 @@ def test_delays_are_whole_positive_milliseconds():
 
 
 def test_delay_mean_tracks_the_instantaneous_rate():
-    rng = ExponentialGaps(WorkloadConfig(seed=1).actor_rngs()[0])
+    rng = WorkloadConfig(seed=1).actor_rngs()[0]
     cfg = SinusoidConfig(mean_rate=5.0, amplitude=0.0)
     draws = [next_delay_ms(cfg, 0.0, rng) for _ in range(20000)]
     assert np.mean(draws) == pytest.approx(200.0, rel=0.03)
@@ -128,7 +139,7 @@ def test_delay_is_deterministic_given_the_rng_state():
     cfg = SinusoidConfig(mean_rate=2.0, amplitude=1.0)
 
     def delays():
-        gaps = ExponentialGaps(WorkloadConfig(seed=9).actor_rngs()[0])
+        gaps = WorkloadConfig(seed=9).actor_rngs()[0]
         return [next_delay_ms(cfg, t, gaps) for t in (0.0, 10.0)]
 
     assert delays() == delays()
@@ -139,21 +150,21 @@ def numpy_actor_rng(seed, child):
 
 
 def test_block_draws_are_the_single_draw_stream():
-    # Across block boundaries and at every rate, a gap drawn from a block
+    # At every rate, a gap scaled from the actor's stream of standard draws
     # is bitwise the gap one numpy rng.exponential call per request would
     # give on the same stream, for both actors.
     cfg = SinusoidConfig(mean_rate=5.5, amplitude=4.5, period_s=60.0)
-    times = [i * 0.037 for i in range(3 * GAP_BLOCK + 7)]
+    times = [i * 0.037 for i in range(775)]
     scales = [1000.0 / rate_at(cfg, t) for t in times]
     for child in (0, 1):
-        gaps = ExponentialGaps(WorkloadConfig(seed=8).actor_rngs()[child])
+        draws = WorkloadConfig(seed=8).actor_rngs()[child]
         rng = numpy_actor_rng(8, child)
-        assert [next_delay_ms(cfg, t, gaps) for t in times] == [
-            next_delay_ms(cfg, t, rng) for t in times
+        assert [next_delay_ms(cfg, t, draws) for t in times] == [
+            max(1, int(round(rng.exponential(s)))) for s in scales
         ]
-        gaps = ExponentialGaps(WorkloadConfig(seed=8).actor_rngs()[child])
+        draws = WorkloadConfig(seed=8).actor_rngs()[child]
         rng = numpy_actor_rng(8, child)
-        assert [gaps.exponential(s) for s in scales] == [rng.exponential(s) for s in scales]
+        assert [s * next(draws) for s in scales] == [rng.exponential(s) for s in scales]
 
 
 # --- value service ---
