@@ -18,8 +18,7 @@ A housekeeping sweep drops entries idle longer than housekeeping_after
 so the table tracks only recently requested keys.
 
 The TTL's text and its "max-age=N" value come from one bounded memo, so
-responses with equal TTLs share one string in the event log's rows and
-in the cache's stored responses instead of each building its own.
+an estimate looks both up instead of paying a str() and a concatenation.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def validate_max_ttl_cap(cap: int | None) -> None:
 
 @lru_cache(maxsize=MAX_AGE_CACHE_SIZE)
 def ttl_texts(ttl: int) -> tuple[str, str]:
-    """The TTL as text and as its cache-control value, shared per TTL."""
+    """The TTL as text and as its cache-control value, memoised per TTL."""
     text = str(ttl)
     return text, "max-age=" + text
 

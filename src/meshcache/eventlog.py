@@ -31,12 +31,11 @@ recorded, with no sort.
 
 Every reader unpacks WRITE_BLOCK_ROWS rows at a time in one call, into
 one flat tuple. stamped_codes() hands the rows out as (timestamp, index)
-pairs, which the harness's fold reads against kinds(); stamped_kinds()
-as (timestamp, kind) pairs; rows() as EventRows. write_to() formats and
-writes one block at a time, so writing a log holds one block's text, not
-the whole file's. Each kind's text after the timestamp is formatted once
-per write, so a row costs one int's formatting; render() joins the same
-blocks.
+pairs, which the harness's fold reads against kinds(); rows() as
+EventRows. write_to() formats and writes one block at a time, so writing
+a log holds one block's text, not the whole file's. Each kind's text
+after the timestamp is formatted once per write, so a row costs one
+int's formatting; render() joins the same blocks.
 """
 
 from __future__ import annotations
@@ -149,11 +148,6 @@ class EventLog:
         slots = chain.from_iterable(self._flat_blocks())
         return zip(slots, slots)
 
-    def stamped_kinds(self) -> Iterator[tuple[int, RowKind]]:
-        """Each row as (timestamp_ns, kind), in record order."""
-        slots = chain.from_iterable(self._flat_blocks())
-        return zip(slots, map(self.kinds().__getitem__, slots))
-
     def rows(self) -> list[EventRow]:
         kinds = self.kinds()
         return [_new(EventRow, (ts, *kinds[code])) for ts, code in self.stamped_codes()]
@@ -174,13 +168,6 @@ class EventLog:
         with open(path, "w", encoding="ascii") as fh:
             for block in self._blocks():
                 fh.write(block)
-
-
-def split_kinds(rows: Iterable[EventRow]) -> Iterator[tuple[int, RowKind]]:
-    """EventRows as the (timestamp_ns, kind) pairs EventLog.stamped_kinds()
-    yields."""
-    return ((ts, (component, method, event, value))
-            for ts, component, method, event, value in rows)
 
 
 def parse_event_row(line: str, row_number: int) -> EventRow:

@@ -55,7 +55,7 @@ from .estimator import (
     validate_housekeeping_after,
     validate_max_ttl_cap,
 )
-from .eventlog import EventLog, EventRow, RowKind, parse_event_lines, split_kinds
+from .eventlog import EventLog, EventRow, RowKind, parse_event_lines
 from .sim import Simulation
 from .ttl import DEFAULT_MAX_TTL_CAP, AlgorithmConfig
 from .workload import (
@@ -280,22 +280,22 @@ def _tally_of(kind: RowKind) -> tuple[str | None, float | None]:
 
 
 def compute_windows(
-    stamped: Iterable[tuple[int, RowKind]],
+    stamped: Iterable[tuple[int, int]],
+    kinds: Sequence[RowKind],
     start_ns: int,
     duration_s: float,
     window_s: float = WINDOW_S,
-    kinds: Sequence[RowKind] | None = None,
 ) -> RunMetrics:
-    """Fold (timestamp_ns, kind) rows into run totals and fixed windows over
-    [0, duration).
+    """Fold (timestamp_ns, index) rows into run totals and fixed windows over
+    [0, duration), each index naming a row's kind in the table kinds, as
+    EventLog.stamped_codes() gives a log's rows against EventLog.kinds().
 
     Each window holds its error fraction, hit fraction and mean issued
     TTL; rows outside [0, duration) count in the first or last window.
-    Each distinct kind is classified once: which tally it bumps and the
-    TTL it adds. EventLog.stamped_kinds() gives a log's rows in this form,
-    and split_kinds() any five-field rows. With kinds, each row's second
-    field is instead an index into kinds, as EventLog.stamped_codes()
-    gives a log's rows against EventLog.kinds().
+    Each index is classified once, on its first row (with any lower index
+    not yet seen): which tally it bumps and the TTL it adds. So kinds may
+    grow while the fold reads rows, as long as a row's index is in kinds
+    when that row is read.
     """
     count = max(1, math.ceil(duration_s / window_s))
     window_ns = seconds_to_ns(window_s)
@@ -306,16 +306,15 @@ def compute_windows(
         name, ttl = _tally_of(kind)
         return tallies.get(name), ttl
 
-    # Each kind's (or index's) step: the tally it bumps and the TTL it adds.
-    steps: dict[RowKind, tuple] | list[tuple] = {} if kinds is None else [
-        step_of(kind) for kind in kinds
-    ]
+    # Each index's step, in index order: the tally it bumps and the TTL it adds.
+    steps: list[tuple[list[int] | None, float | None]] = []
     last = count - 1
-    for ts, kind in stamped:
+    for ts, code in stamped:
         try:
-            tally, ttl = steps[kind]
-        except KeyError:
-            tally, ttl = steps[kind] = step_of(kind)
+            tally, ttl = steps[code]
+        except IndexError:
+            steps += map(step_of, kinds[len(steps):code + 1])
+            tally, ttl = steps[code]
         if tally is None:
             continue
         idx = (ts - start_ns) // window_ns
@@ -390,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             from . import tcp  # only a real-clock run loads the TCP backend
 
             clock = SystemClock()
-            connect = tcp.connector(stack, clock)
+            connect = tcp.connector(stack)
         server, estimator, cache = _wire(cfg, connect, clock, log, out_path)
         cache_link = connect(cache.handle)
         update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
@@ -419,7 +418,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # A crashed actor ends the run at once, as on the virtual clock.
             tcp.run_actors(actors)
-    metrics = compute_windows(log.stamped_codes(), start_ns, cfg.duration_s, kinds=log.kinds())
+    metrics = compute_windows(log.stamped_codes(), log.kinds(), start_ns, cfg.duration_s)
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
         **vars(metrics),
@@ -501,14 +500,26 @@ def aggregate_logs(source: str | Path | Iterable[str]) -> RunMetrics:
     text file (errors name the row).
 
     The rows fold one at a time as they are parsed, so the fold holds one
-    line of the file, not the file. The whole log folds into one window. A
-    log without a completed query or a cache lookup raises ValueError here,
-    not at first use of a ratio.
+    line of the file, not the file. Each kind takes an index in order of
+    first appearance, as the event log numbers them. The whole log folds
+    into one window. A log without a completed query or a cache lookup
+    raises ValueError here, not at first use of a ratio.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="ascii") as fh:
             return aggregate_logs(fh)
-    metrics = compute_windows(split_kinds(parse_event_lines(source)), 0, WINDOW_S)
+    codes: dict[RowKind, int] = {}
+    kinds: list[RowKind] = []
+
+    def stamped() -> Iterator[tuple[int, int]]:
+        for row in parse_event_lines(source):
+            kind = row[1:]
+            code = codes.setdefault(kind, len(codes))
+            if code == len(kinds):
+                kinds.append(kind)
+            yield row[0], code
+
+    metrics = compute_windows(stamped(), kinds, 0, WINDOW_S)
     metrics.totals()  # validates both ratios
     return metrics
 
@@ -525,16 +536,19 @@ def read_result(path: str | Path) -> ExperimentResult:
     none, or a value write_result never writes."""
     try:
         result = ExperimentResult.from_json_dict(json.loads(Path(path).read_text(encoding="ascii")))
-        parse_config_id(result.config_id)
-        if result.phase_tag not in PHASE_SHIFTS:
-            raise ValueError(f"phase {result.phase_tag!r} is not one of {sorted(PHASE_SHIFTS)}")
         counts = {
             f.name: getattr(result, f.name) for f in fields(RunMetrics) if f.name != "windows"
         }
         counts.update(asdict(result.cache_stats), seed=result.seed)
         for name, value in counts.items():
-            if type(value) is not int:
-                raise ValueError(f"{name} {value!r} is not an integer")
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} {value!r} is not a non-negative integer")
+        if result.stale_queries > result.total_queries:
+            raise ValueError("stale_queries exceeds total_queries")
+        # The run's identity (config id, phase, seed, duration, clock), as a run checks it.
+        ExperimentConfig(
+            result.config_id, result.phase_tag, result.seed, result.duration_s, result.clock_mode
+        )
         for window in map(astuple, result.windows):
             if not all(type(v) in (int, float) for v in window):
                 raise ValueError(f"window {list(window)!r} is not four numbers")

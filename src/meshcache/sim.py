@@ -42,9 +42,7 @@ it does not suspend the caller's `yield from` chain; otherwise it yields
 its Sleep to the task, which pushes the wake-up. Either way the rule is
 the one above, so every order and output is the same. Driven outside
 run(), a link yields every leg. A zero-latency leg that resumes in place
-leaves the clock's time object as it is: storing now + 0 would put an
-equal but new int there, so every row of one request would carry its own
-copy of the timestamp.
+writes nothing: the clock already holds the time it would store.
 
 A run's tasks hold the simulation through their links while the heap
 holds the tasks still queued, so a simulation left with queued tasks is a

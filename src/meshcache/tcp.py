@@ -574,14 +574,14 @@ def serve(
     return handle
 
 
-def connector(stack: ExitStack, clock: Clock) -> Callable[[Handler], Link]:
+def connector(stack: ExitStack) -> Callable[[Handler], Link]:
     """connect() over loopback TCP: each handler's server starts at its first
     connect, every connect opens a new link, and the stack closes them all."""
     servers: dict[Handler, ServerHandle] = {}
 
     def connect(handler: Handler) -> Link:
         if handler not in servers:
-            servers[handler] = stack.enter_context(serve(handler, clock=clock))
+            servers[handler] = stack.enter_context(serve(handler))
         return stack.enter_context(TcpLink(servers[handler].address))
 
     return connect

@@ -199,7 +199,7 @@ def test_plot_data_scatter_and_timeseries(tmp_path):
     out = tmp_path / "results"
     for phase in ("0", "pi"):
         main(["run", "--config-id", "static-1", "--phase", phase,
-              "--duration-s", "10", "--out", str(out)])
+              "--duration-s", "50", "--out", str(out)])
     scatter = tmp_path / "scatter.csv"
     assert main(["plot-data", "--in", str(out), "--kind", "scatter",
                  "--out", str(scatter)]) == 0
@@ -209,7 +209,9 @@ def test_plot_data_scatter_and_timeseries(tmp_path):
     single = out / "static-1" / "pi" / "seed-1"
     assert main(["plot-data", "--in", str(single), "--kind", "timeseries",
                  "--out", str(series)]) == 0
-    assert series.read_text().startswith("window_start_s,")
+    # Rebuilt from result.json, the series is the run's own file, byte for byte.
+    assert series.read_bytes() == (single / "timeseries.csv").read_bytes()
+    assert len(series.read_text().splitlines()) == 5  # header and 4 windows
 
 
 def test_plot_data_timeseries_needs_exactly_one_run(tmp_path, capsys):
@@ -247,8 +249,12 @@ def set_field(data, field, value):
     data[field] = value
 
 
-def set_hits(data, field, value):
-    data["cache"]["hits"] = value
+def set_cache(data, field, value):
+    data["cache"][field] = value
+
+
+def set_stale_above_total(data, field, value):
+    data["stale_queries"] = data["total_queries"] + 7
 
 
 def set_windows(data, field, value):
@@ -263,9 +269,20 @@ def set_windows(data, field, value):
         (set_field, "total_queries", 0),
         (set_field, "phase", "zz"),
         (set_windows, None, None),
-        (set_hits, None, "x"),
+        (set_cache, "hits", "x"),
+        (set_field, "stale_queries", -5),
+        (set_stale_above_total, None, None),
+        (set_cache, "hits", -3),
+        (set_field, "seed", -1),
+        (set_field, "clock", "sundial"),
+        (set_field, "duration_s", "x"),
+        (set_cache, "expirations", -4),
     ],
-    ids=["config-id", "count", "no-queries", "phase", "window", "cache-hits"],
+    ids=[
+        "config-id", "count", "no-queries", "phase", "window", "cache-hits",
+        "negative-stale", "stale-above-total", "negative-hits", "negative-seed",
+        "clock", "duration", "negative-expirations",
+    ],
 )
 @pytest.mark.parametrize("kind", ["scatter", "timeseries"])
 def test_plot_data_refuses_a_result_value_write_result_never_writes(

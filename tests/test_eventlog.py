@@ -259,6 +259,7 @@ def test_every_reader_gives_the_rows_as_recorded():
     log = realistic_log(3 * WRITE_BLOCK_ROWS + 5)
     rows = log.rows()
     kinds = log.kinds()
-    assert list(log.stamped_kinds()) == [(r.timestamp_ns, tuple(r[1:])) for r in rows]
-    assert [(ts, kinds[code]) for ts, code in log.stamped_codes()] == list(log.stamped_kinds())
+    assert [(ts, kinds[code]) for ts, code in log.stamped_codes()] == [
+        (r.timestamp_ns, tuple(r[1:])) for r in rows
+    ]
     assert len(kinds) == 3 and kinds[0] == ("client", "GetValue", "ok", "")

@@ -23,7 +23,7 @@ from meshcache import harness
 from meshcache.cache import CacheStats
 from meshcache.config import format_estimator_config
 from meshcache.estimator import Estimator
-from meshcache.eventlog import EventLog, EventRow, parse_event_log, split_kinds
+from meshcache.eventlog import EventLog, EventRow, parse_event_log
 from meshcache.harness import (
     ExperimentConfig,
     WINDOW_S,
@@ -56,6 +56,19 @@ NS = 1_000_000_000
 # --- windows ---
 
 
+def logged(rows):
+    """An EventLog holding rows, recorded in order."""
+    log = EventLog()
+    for row in rows:
+        log.record(*row)
+    return log
+
+
+def fold_log(log, *args):
+    """compute_windows over a log's rows, as run_experiment folds them."""
+    return compute_windows(log.stamped_codes(), log.kinds(), *args)
+
+
 def test_compute_windows_hand_checked():
     rows = [
         EventRow(1 * NS, "cache", "GetValue", "miss"),
@@ -67,7 +80,7 @@ def test_compute_windows_hand_checked():
         EventRow(5 * NS, "client", "SetValue", "ok"),  # ignored by both fractions
         EventRow(45 * NS, "cache", "GetValue", "miss"),  # clamped into the last window
     ]
-    windows = compute_windows(split_kinds(rows), start_ns=0, duration_s=30.0).windows
+    windows = fold_log(logged(rows), 0, 30.0).windows
     assert len(windows) == 2
     first, second = windows
     assert first.start_s == 0.0
@@ -79,9 +92,9 @@ def test_compute_windows_hand_checked():
 
 
 def test_window_count_covers_the_duration():
-    assert len(compute_windows([], 0, 300.0).windows) == 20
-    assert len(compute_windows([], 0, 1800.0).windows) == 120
-    assert len(compute_windows([], 0, 10.0).windows) == 1  # partial window still counts
+    assert len(compute_windows([], [], 0, 300.0).windows) == 20
+    assert len(compute_windows([], [], 0, 1800.0).windows) == 120
+    assert len(compute_windows([], [], 0, 10.0).windows) == 1  # partial window still counts
 
 
 # Every component, method and event the fold tells apart, plus ones it
@@ -124,13 +137,18 @@ def test_positional_fold_matches_the_reference_fold_on_random_rows():
         window_s = rng.choice([15.0, 7.5, 1.0])
         rows = random_fold_rows(rng, start_ns, duration_s, rng.randint(0, 400))
         want = reference_fold.compute_windows(rows, start_ns, duration_s, window_s)
-        # Both inputs of the fold: a log's rows, whose equal kinds share
-        # one tuple, and rows split one by one, as a parsed file gives them.
-        log = EventLog()
-        for row in rows:
-            log.record(*row)
-        assert compute_windows(log.stamped_kinds(), start_ns, duration_s, window_s) == want
-        assert compute_windows(split_kinds(rows), start_ns, duration_s, window_s) == want
+        # Both entries of the fold: a log's rows against its kind table, as
+        # a run folds them, and the log's text parsed and interned row by
+        # row, as aggregate_logs folds a file into one window.
+        log = logged(rows)
+        assert fold_log(log, start_ns, duration_s, window_s) == want
+        whole = reference_fold.compute_windows(rows, 0, WINDOW_S)
+        if whole.total_queries and whole.hits + whole.misses:
+            assert aggregate_logs(io.StringIO(log.render())) == whole
+            seen.add("aggregated")
+        else:
+            with pytest.raises(ValueError, match="^no (completed queries|cache lookups) in log$"):
+                aggregate_logs(io.StringIO(log.render()))
         for ts, component, method, event, _ in rows:
             if ts < start_ns:
                 seen.add("before start")
@@ -152,6 +170,7 @@ def test_positional_fold_matches_the_reference_fold_on_random_rows():
         "unknown component",
         "unknown event",
         "estimate",
+        "aggregated",
     }
 
 
@@ -161,7 +180,7 @@ def test_positional_fold_matches_the_reference_fold_on_a_run(tmp_path):
     text = (tmp_path / "events.csv").read_text(encoding="ascii")
     rows = parse_event_log(text)
     want = reference_fold.compute_windows(rows, 0, 300.0)
-    assert compute_windows(split_kinds(rows), 0, 300.0) == want
+    assert fold_log(logged(rows), 0, 300.0) == want
     # The run folded its log; aggregate_logs folds its events.csv.
     assert RunMetrics(**{f.name: getattr(result, f.name) for f in fields(RunMetrics)}) == want
     aggregated = aggregate_logs(tmp_path / "events.csv")
@@ -170,16 +189,23 @@ def test_positional_fold_matches_the_reference_fold_on_a_run(tmp_path):
     assert (aggregated.hits, aggregated.misses) == (result.hits, result.misses)
 
 
+def test_the_fold_takes_indices_in_any_order_of_first_row():
+    # Two threads may record the first rows of two new kinds out of index
+    # order; the fold still reads each row as its own kind.
+    kinds = [("cache", "GetValue", "hit", ""), ("client", "GetValue", "ok", ""),
+             ("estimator", "GetValue", "estimate", "6"), ("cache", "GetValue", "miss", "")]
+    stamped = [(0, 3), (NS, 1), (NS, 0), (2 * NS, 2), (20 * NS, 3), (20 * NS, 1)]
+    rows = [EventRow(ts, *kinds[code]) for ts, code in stamped]
+    assert compute_windows(stamped, kinds, 0, 30.0) == reference_fold.compute_windows(rows, 0, 30.0)
+
+
 @pytest.mark.parametrize("value", ["x", ""])
 def test_a_bad_ttl_value_fails_the_fold_on_both_inputs(value):
     rows = [EventRow(0, "client", "GetValue", "ok"), EventRow(NS, "cache", "GetValue", "hit"),
             EventRow(2 * NS, "estimator", "GetValue", "estimate", value)]
-    log = EventLog()
-    for row in rows:
-        log.record(*row)
-    for stamped in (log.stamped_kinds(), split_kinds(rows)):
-        with pytest.raises(ValueError, match="could not convert string to float"):
-            compute_windows(stamped, 0, 30.0)
+    log = logged(rows)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        fold_log(log, 0, 30.0)
     with pytest.raises(ValueError, match="could not convert string to float"):
         reference_fold.compute_windows(rows, 0, 30.0)
     with pytest.raises(ValueError, match="could not convert string to float"):

@@ -14,7 +14,7 @@ EXPORTED = {
     "digests": "",
     "effects": "Call DirectLink Handler Link Sleep TransportError drive invoke_handler",
     "estimator": "Estimator blacklist_matches housekeeping_loop validate_blacklist",
-    "eventlog": "EventLog EventRow parse_event_log parse_event_row split_kinds",
+    "eventlog": "EventLog EventRow parse_event_log parse_event_row",
     "harness": (
         "ExperimentConfig ExperimentResult RunMetrics ScriptedOp SuiteOutcome WindowSeries"
         " WindowStats aggregate_logs compute_windows load_results read_result run_experiment"

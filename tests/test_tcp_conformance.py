@@ -12,7 +12,7 @@ so a codec memo that answers for the wrong frame changes them.
 from contextlib import ExitStack
 
 from meshcache import tcp
-from meshcache.clock import SystemClock, seconds_to_ns
+from meshcache.clock import seconds_to_ns
 from meshcache.eventlog import EventLog
 from meshcache.harness import ExperimentConfig, _wire, run_scripted_trace
 from meshcache.workload import StalenessLedger, query_once, update_once
@@ -20,8 +20,8 @@ from test_acceptance import micro_traces
 from trace_oracle import replay_trace
 
 
-class SetClock(SystemClock):
-    """A clock that reads what the actor last set; a SystemClock, as tcp.serve requires."""
+class SetClock:
+    """A clock that reads what the actor last set."""
 
     def __init__(self) -> None:
         self.ns = 0
@@ -47,7 +47,7 @@ def run_over_tcp(ops, config_id):
     clock = SetClock()
     log = EventLog()
     with ExitStack() as stack:
-        connect = tcp.connector(stack, clock)
+        connect = tcp.connector(stack)
         server, _, cache = _wire(ExperimentConfig(config_id), connect, clock, log, None)
         ledger = StalenessLedger(server.current_value())
         cache_link, server_link = connect(cache.handle), connect(server.handle)

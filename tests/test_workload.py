@@ -12,7 +12,7 @@ import pytest
 
 from meshcache.clock import NS_PER_S
 from meshcache.effects import TransportError
-from meshcache.eventlog import EventLog, EventRow, split_kinds
+from meshcache.eventlog import EventLog
 from meshcache.harness import compute_windows
 from meshcache.sim import Simulation
 from meshcache.wire import Message
@@ -221,33 +221,31 @@ def test_classify_errors():
     assert classify_response(Message.error_response("GetValue", "x"), b"0", ledger) == "error"
 
 
-def query_outcome_rows(*outcomes):
+def fold_outcomes(*outcomes, component="client"):
+    """compute_windows over a log of one row per outcome, as a run folds its log."""
     log = EventLog()
     for i, outcome in enumerate(outcomes):
-        log.record(i * NS_PER_S, "client", "GetValue", outcome)
-    return log.stamped_kinds()
+        log.record(i * NS_PER_S, component, "GetValue", outcome)
+    return compute_windows(log.stamped_codes(), log.kinds(), 0, 15.0)
 
 
 def test_ledger_counters():
     # The ledger only carries the expected value; outcomes are counted by
     # folding the rows the query step logs.
-    metrics = compute_windows(query_outcome_rows("ok", "stale", "ok", "error"), 0, 15.0)
+    metrics = fold_outcomes("ok", "stale", "ok", "error")
     assert metrics.total_queries == 3  # errors excluded
     assert metrics.stale_queries == 1
     assert metrics.errored_queries == 1
 
 
 def test_error_fraction_and_traffic_reduction():
-    metrics = compute_windows(query_outcome_rows("ok", "ok", "ok", "stale"), 0, 15.0)
-    assert metrics.error_fraction == 0.25
-    lookups = [EventRow(0, "cache", "GetValue", "hit")] * 17 + [
-        EventRow(0, "cache", "GetValue", "miss")
-    ] * 3
-    assert compute_windows(split_kinds(lookups), 0, 15.0).traffic_reduction == 0.85
+    assert fold_outcomes("ok", "ok", "ok", "stale").error_fraction == 0.25
+    lookups = ["hit"] * 17 + ["miss"] * 3
+    assert fold_outcomes(*lookups, component="cache").traffic_reduction == 0.85
     with pytest.raises(ValueError):
-        compute_windows([], 0, 15.0).error_fraction
+        fold_outcomes().error_fraction
     with pytest.raises(ValueError):
-        compute_windows([], 0, 15.0).traffic_reduction
+        fold_outcomes().traffic_reduction
 
 
 # --- actors in a small simulation ---
