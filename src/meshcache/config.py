@@ -1,4 +1,4 @@
-"""Named experiment configurations and flat-file config formats.
+"""Named experiment configurations and the suite matrix format.
 
 Config IDs name an estimation algorithm plus its parameter, e.g.
 "static-10", "adaptive-0.25", "updaterisk-0.90": every "<family>-<number>"
@@ -9,16 +9,14 @@ CONFIG_IDS names the evaluation suite's twelve ids in the order results
 are reported. A "dynamic-" prefix on any family's id ("dynamic-static-1",
 "dynamic-adaptive-0.25") is accepted as an alias and normalized away.
 
-Two flat text formats live here as well: the estimator sidecar's
-key=value settings, which the harness writes to each run's estimator.cfg
-(nothing reads it back), and the suite matrix file (one config id per
-line, plus optional phases=/seeds=/duration_s=/clock= lines).
+The suite matrix file lives here as well: one config id per line, plus
+optional phases=/seeds=/duration_s=/clock= lines.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .ttl import AdaptiveTtl, AlgorithmConfig, StaticTtl, UpdateRiskTtl
@@ -80,21 +78,6 @@ def canonical_order(config_id: str) -> tuple[int, str]:
     if canonical in CONFIG_IDS:
         return CONFIG_IDS.index(canonical), canonical
     return len(CONFIG_IDS), canonical
-
-
-def format_estimator_config(
-    algorithm: AlgorithmConfig,
-    blacklist: Sequence[str],
-    housekeeping_after_s: float,
-    max_ttl_cap: int | None,
-) -> str:
-    """The estimator's settings as key=value lines, one per setting: the
-    algorithm's own lines, then the three every family shares."""
-    lines = algorithm.config_lines()
-    lines.append("blacklist=" + ",".join(blacklist))
-    lines.append(f"housekeeping_after={housekeeping_after_s!r}")
-    lines.append(f"max_ttl_cap={'none' if max_ttl_cap is None else max_ttl_cap}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,10 @@ one event loop, under the real clock TCP links to loopback servers
 Updates go straight to the server by default; routing them through the
 cache with SetValue blacklisted is available as a fidelity option.
 
-Each run directory holds four files:
+Each run directory holds three files:
 
     events.csv      every timestamped CSV row from all components, in
                     record order
-    estimator.cfg   the settings the estimator sidecar was built with, as
-                    key=value lines (nothing reads the file back)
     result.json     the run's identity, the cache's counters, and the
                     totals and windows of one fold over the rows
                     (compute_windows), which `meshcache aggregate` repeats
@@ -45,8 +43,8 @@ from functools import partial
 from pathlib import Path
 
 from .cache import Cache, CacheStats
-from .clock import Clock, SystemClock, seconds_to_ns
-from .config import canonical_order, format_estimator_config, parse_config_id
+from .clock import NS_PER_S, Clock, SystemClock, seconds_to_ns
+from .config import canonical_order, parse_config_id
 from .effects import Handler, Link, Sleep
 from .estimator import (
     DEFAULT_HOUSEKEEPING_AFTER_S,
@@ -95,9 +93,11 @@ class ExperimentConfig:
         parse_config_id(self.config_id)  # raises ValueError when unknown
         if self.clock_mode not in ("virtual", "real"):
             raise ValueError(f"clock_mode must be virtual or real, got {self.clock_mode!r}")
-        if not (self.link_latency_s >= 0 and math.isfinite(self.link_latency_s)):
+        # Each hop's delay is an int64 nanosecond count, as the run's timestamps are.
+        if not (self.link_latency_s >= 0 and self.link_latency_s * NS_PER_S < 2**63):
             raise ValueError(
-                f"link_latency_s must be non-negative and finite, got {self.link_latency_s}"
+                "link_latency_s must be non-negative and finite in nanoseconds,"
+                f" got {self.link_latency_s}"
             )
         validate_housekeeping_after(self.housekeeping_after_s)
         validate_max_ttl_cap(self.max_ttl_cap)
@@ -279,6 +279,11 @@ def _tally_of(kind: RowKind) -> tuple[str | None, float | None]:
     return None, None
 
 
+def _window_count(duration_s: float, window_s: float = WINDOW_S) -> int:
+    """How many windows a run of duration_s folds into."""
+    return max(1, math.ceil(duration_s / window_s))
+
+
 def compute_windows(
     stamped: Iterable[tuple[int, int]],
     kinds: Sequence[RowKind],
@@ -297,7 +302,7 @@ def compute_windows(
     grow while the fold reads rows, as long as a row's index is in kinds
     when that row is read.
     """
-    count = max(1, math.ceil(duration_s / window_s))
+    count = _window_count(duration_s, window_s)
     window_ns = seconds_to_ns(window_s)
     tallies = {name: [0] * count for name in _TALLIES}
     ttl_sum = [0.0] * count
@@ -345,31 +350,29 @@ def compute_windows(
 
 
 def _wire(
-    cfg: ExperimentConfig,
-    connect: Callable[[Handler], Link],
-    clock: Clock,
-    log: EventLog,
-    out_dir: Path | None,
-) -> tuple[ValueServer, Estimator, Cache]:
+    cfg: ExperimentConfig, connect: Callable[[Handler], Link], clock: Clock, log: EventLog
+) -> tuple[Estimator, Cache, Link, Link, StalenessLedger]:
     """Build server <- estimator <- cache; connect(handler) returns a link to it.
 
-    With an output directory, the settings the estimator was built with
-    are also written as estimator.cfg, so the run directory documents
-    them.
+    Returns the estimator, the cache, the query link to the cache, the
+    update link (to the cache when cfg.updates_via_cache, else to the
+    server) and a staleness ledger at the server's value.
     """
     _, algorithm = parse_config_id(cfg.config_id)
-    settings = {
-        "blacklist": (SET_METHOD,) if cfg.updates_via_cache else (),
-        "housekeeping_after_s": cfg.housekeeping_after_s,
-        "max_ttl_cap": cfg.max_ttl_cap,
-    }
     server = ValueServer()
-    estimator = Estimator(algorithm, connect(server.handle), clock, log, **settings)
-    if out_dir is not None:
-        text = format_estimator_config(algorithm, **settings)
-        (out_dir / "estimator.cfg").write_text(text, encoding="ascii")
+    estimator = Estimator(
+        algorithm,
+        connect(server.handle),
+        clock,
+        log,
+        blacklist=(SET_METHOD,) if cfg.updates_via_cache else (),
+        housekeeping_after_s=cfg.housekeeping_after_s,
+        max_ttl_cap=cfg.max_ttl_cap,
+    )
     cache = Cache(connect(estimator.handle), clock, log)
-    return server, estimator, cache
+    query_link = connect(cache.handle)
+    update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
+    return estimator, cache, query_link, update_link, StalenessLedger(server.current_value())
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -390,10 +393,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
             clock = SystemClock()
             connect = tcp.connector(stack)
-        server, estimator, cache = _wire(cfg, connect, clock, log, out_path)
-        cache_link = connect(cache.handle)
-        update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
-        ledger = StalenessLedger(server.current_value())
+        estimator, cache, cache_link, update_link, ledger = _wire(cfg, connect, clock, log)
         query_rng, update_rng = workload.actor_rngs()
         start_ns = clock.now_ns()
         end_ns = start_ns + seconds_to_ns(cfg.duration_s)
@@ -456,7 +456,7 @@ def scripted_actor(
     ops: Sequence[ScriptedOp],
     clock: Clock,
     cache_link,
-    server_link,
+    update_link,
     ledger: StalenessLedger,
     log: EventLog,
     start_ns: int,
@@ -473,7 +473,7 @@ def scripted_actor(
         else:
             counter += 1
             value = str(counter).encode("ascii")
-            yield from update_once(clock, server_link, ledger, value, log)
+            yield from update_once(clock, update_link, ledger, value, log)
 
 
 def run_scripted_trace(
@@ -485,11 +485,9 @@ def run_scripted_trace(
     sim = Simulation()
     log = EventLog()
     cfg = ExperimentConfig(config_id, max_ttl_cap=max_ttl_cap)
-    server, _, cache = _wire(cfg, sim.virtual_link, sim.clock, log, None)
-    ledger = StalenessLedger(server.current_value())
-    cache_link, server_link = sim.virtual_link(cache.handle), sim.virtual_link(server.handle)
+    _, _, cache_link, update_link, ledger = _wire(cfg, sim.virtual_link, sim.clock, log)
     sim.spawn(
-        scripted_actor(ops, sim.clock, cache_link, server_link, ledger, log, sim.clock.now_ns())
+        scripted_actor(ops, sim.clock, cache_link, update_link, ledger, log, sim.clock.now_ns())
     )
     sim.run()
     return log.rows()
@@ -549,9 +547,20 @@ def read_result(path: str | Path) -> ExperimentResult:
         ExperimentConfig(
             result.config_id, result.phase_tag, result.seed, result.duration_s, result.clock_mode
         )
-        for window in map(astuple, result.windows):
+        # The windows compute_windows makes for the run's duration.
+        count = _window_count(result.duration_s)
+        if len(result.windows) != count:
+            raise ValueError(f"{len(result.windows)} windows, not the run's {count}")
+        for i, window in enumerate(map(astuple, result.windows)):
             if not all(type(v) in (int, float) for v in window):
                 raise ValueError(f"window {list(window)!r} is not four numbers")
+            start_s, error_fraction, hit_fraction, mean_ttl = window
+            if start_s != i * WINDOW_S:
+                raise ValueError(f"window {i} starts at {start_s}, not {i * WINDOW_S}")
+            if not (0 <= error_fraction <= 1 and 0 <= hit_fraction <= 1):
+                raise ValueError(f"window {i} has a fraction outside [0, 1]")
+            if not 0 <= mean_ttl < math.inf:
+                raise ValueError(f"window {i}'s mean TTL {mean_ttl} is negative or not finite")
         result.totals()  # both ratios have something to divide by
         return result
     except (KeyError, TypeError, ValueError) as exc:

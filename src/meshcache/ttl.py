@@ -22,8 +22,8 @@ update-risk) it returns 0: unknown objects are not cached.
 
 Each algorithm is one frozen record that carries everything its family
 decides: ttl(), its rule; history_depth, the change timestamps that rule
-needs kept; parameter, its scalar knob (beta, alpha or rho) for the
-suite's scatter.csv; and config_lines(), its own estimator.cfg lines.
+needs kept; and parameter, its scalar knob (beta, alpha or rho) for the
+suite's scatter.csv.
 
 Everything here is pure: observe() returns a new history, and ttl() is a
 function of (config, history, now, cap).
@@ -60,9 +60,6 @@ class StaticTtl:
         """beta, regardless of history and of the cap."""
         return self.beta
 
-    def config_lines(self) -> list[str]:
-        return ["algorithm=static", f"beta={self.beta}"]
-
 
 @dataclass(frozen=True)
 class AdaptiveTtl:
@@ -84,9 +81,6 @@ class AdaptiveTtl:
             return 0
         age_s = ns_to_seconds(now_ns - history.change_timestamps[-1])
         return _clamp(age_s * self.alpha, max_ttl_cap)
-
-    def config_lines(self) -> list[str]:
-        return ["algorithm=adaptive", f"alpha={self.alpha!r}"]
 
 
 @dataclass(frozen=True)
@@ -115,9 +109,6 @@ class UpdateRiskTtl:
             return 0
         bud_s = ns_to_seconds(now_ns - history.change_timestamps[-self.k])
         return _clamp(-(bud_s / self.k) * math.log(1.0 - self.rho), max_ttl_cap)
-
-    def config_lines(self) -> list[str]:
-        return ["algorithm=updaterisk", f"rho={self.rho!r}", f"k={self.k}"]
 
 
 AlgorithmConfig = Union[StaticTtl, AdaptiveTtl, UpdateRiskTtl]

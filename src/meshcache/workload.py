@@ -268,7 +268,7 @@ def query_actor(
 def update_actor(
     sinusoid: SinusoidConfig,
     clock: Clock,
-    server_link: Link,
+    update_link: Link,
     ledger: StalenessLedger,
     draws: Iterator[float],
     start_ns: int,
@@ -280,7 +280,7 @@ def update_actor(
     while clock.now_ns() < end_ns:
         counter += 1
         logged_ns = yield from update_once(
-            clock, server_link, ledger, str(counter).encode("ascii"), log
+            clock, update_link, ledger, str(counter).encode("ascii"), log
         )
         t_s = (logged_ns - start_ns) / 1e9
         yield _new(Sleep, (next_delay_ms(sinusoid, t_s, draws) * NS_PER_MS,))

@@ -33,7 +33,7 @@ def test_run_writes_a_run_directory_and_reports_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "traffic_reduction=" in out and "error_fraction=" in out
     run = tmp_path / "static-1" / "pi" / "seed-2"
-    for name in ("events.csv", "estimator.cfg", "result.json", "timeseries.csv"):
+    for name in ("events.csv", "result.json", "timeseries.csv"):
         assert (run / name).exists()
 
 
@@ -261,6 +261,15 @@ def set_windows(data, field, value):
     data["windows"][0] = ["a", "b", "c", "d"]
 
 
+def set_window_value(data, field, value):
+    window, column = field
+    data["windows"][window][column] = value
+
+
+def add_window(data, field, value):
+    data["windows"].append(value)
+
+
 @pytest.mark.parametrize(
     "edit, field, value",
     [
@@ -277,11 +286,18 @@ def set_windows(data, field, value):
         (set_field, "clock", "sundial"),
         (set_field, "duration_s", "x"),
         (set_cache, "expirations", -4),
+        (add_window, None, [30.0, 0.0, 0.0, 0.0]),
+        (set_window_value, (1, 0), 99.0),
+        (set_window_value, (0, 1), 5.0),
+        (set_window_value, (0, 2), -1.0),
+        (set_window_value, (0, 3), -3.0),
+        (set_window_value, (0, 3), math.inf),
     ],
     ids=[
         "config-id", "count", "no-queries", "phase", "window", "cache-hits",
         "negative-stale", "stale-above-total", "negative-hits", "negative-seed",
-        "clock", "duration", "negative-expirations",
+        "clock", "duration", "negative-expirations", "window-count", "window-start",
+        "error-fraction", "hit-fraction", "negative-ttl", "infinite-ttl",
     ],
 )
 @pytest.mark.parametrize("kind", ["scatter", "timeseries"])

@@ -1,4 +1,4 @@
-"""Config ids, the estimator config text, and suite matrix parsing."""
+"""Config ids and suite matrix parsing."""
 
 import re
 
@@ -10,7 +10,6 @@ from meshcache.config import (
     DEFAULT_SEEDS,
     SuiteMatrix,
     canonical_order,
-    format_estimator_config,
     parse_config_id,
     parse_matrix,
 )
@@ -114,35 +113,7 @@ def test_algorithm_parameter_extracts_the_knob():
     assert UpdateRiskTtl(0.75).parameter == 0.75
 
 
-# --- estimator config text ---
-
-
-def read_settings(text):
-    """An estimator.cfg text's key=value lines, as a dict."""
-    return dict(line.split("=", 1) for line in text.splitlines())
-
-
-def test_estimator_config_roundtrip_static():
-    text = format_estimator_config(StaticTtl(10), (), 300.0, 30)
-    assert text == "algorithm=static\nbeta=10\nblacklist=\nhousekeeping_after=300.0\nmax_ttl_cap=30\n"
-
-
-def test_estimator_config_roundtrip_adaptive_preserves_float_exactly():
-    values = read_settings(format_estimator_config(AdaptiveTtl(0.1), (), 300.0, None))
-    assert float(values["alpha"]) == 0.1  # written as its repr: no drift
-    assert values["max_ttl_cap"] == "none"
-
-
-def test_estimator_config_roundtrip_update_risk_with_blacklist():
-    text = format_estimator_config(UpdateRiskTtl(0.5, k=3), ("SetValue", "Admin*"), 120.0, 15)
-    assert read_settings(text) == {
-        "algorithm": "updaterisk",
-        "rho": "0.5",
-        "k": "3",
-        "blacklist": "SetValue,Admin*",
-        "housekeeping_after": "120.0",
-        "max_ttl_cap": "15",
-    }
+# --- estimator settings ---
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "1e300"])

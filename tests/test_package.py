@@ -10,7 +10,7 @@ import meshcache
 EXPORTED = {
     "cache": "Cache CacheEntry CacheStats parse_max_age",
     "clock": "NS_PER_MS NS_PER_S Clock SystemClock VirtualClock",
-    "config": "CONFIG_IDS SuiteMatrix format_estimator_config parse_config_id parse_matrix",
+    "config": "CONFIG_IDS SuiteMatrix parse_config_id parse_matrix",
     "digests": "",
     "effects": "Call DirectLink Handler Link Sleep TransportError drive invoke_handler",
     "estimator": "Estimator blacklist_matches housekeeping_loop validate_blacklist",

@@ -15,7 +15,7 @@ from meshcache import tcp
 from meshcache.clock import seconds_to_ns
 from meshcache.eventlog import EventLog
 from meshcache.harness import ExperimentConfig, _wire, run_scripted_trace
-from meshcache.workload import StalenessLedger, query_once, update_once
+from meshcache.workload import query_once, update_once
 from test_acceptance import micro_traces
 from trace_oracle import replay_trace
 
@@ -30,7 +30,7 @@ class SetClock:
         return self.ns
 
 
-def scripted_actor(ops, clock, cache_link, server_link, ledger, log):
+def scripted_actor(ops, clock, cache_link, update_link, ledger, log):
     """Each op at its instant, as harness.scripted_actor runs them, but setting the clock."""
     counter = 0
     for op in ops:
@@ -40,7 +40,7 @@ def scripted_actor(ops, clock, cache_link, server_link, ledger, log):
         else:
             counter += 1
             value = str(counter).encode("ascii")
-            yield from update_once(clock, server_link, ledger, value, log)
+            yield from update_once(clock, update_link, ledger, value, log)
 
 
 def run_over_tcp(ops, config_id):
@@ -48,10 +48,10 @@ def run_over_tcp(ops, config_id):
     log = EventLog()
     with ExitStack() as stack:
         connect = tcp.connector(stack)
-        server, _, cache = _wire(ExperimentConfig(config_id), connect, clock, log, None)
-        ledger = StalenessLedger(server.current_value())
-        cache_link, server_link = connect(cache.handle), connect(server.handle)
-        tcp.run_actors([scripted_actor(ops, clock, cache_link, server_link, ledger, log)])
+        _, _, cache_link, update_link, ledger = _wire(
+            ExperimentConfig(config_id), connect, clock, log
+        )
+        tcp.run_actors([scripted_actor(ops, clock, cache_link, update_link, ledger, log)])
     return log.rows()
 
 
