@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config_id, parse_matrix
+from .config import parse_matrix
 from .harness import (
     ExperimentConfig,
     aggregate_logs,
@@ -84,11 +84,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             duration_s=args.duration_s,
             clock_mode=args.clock,
         )
-        canonical, _ = parse_config_id(args.config_id)
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    out = run_dir(args.out, canonical, args.phase, args.seed)
+    out = run_dir(args.out, cfg.config_id, args.phase, args.seed)
     if not _make_output_dir(out):
         return 2
     try:
@@ -116,12 +115,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if not _make_output_dir(Path(args.out)):
         return 2
     outcome = run_suite(
-        matrix.config_ids,
-        matrix.phases,
-        matrix.seeds,
-        matrix.duration_s,
-        args.out,
-        clock_mode=matrix.clock,
+        matrix.config_ids, matrix.phases, matrix.seeds, matrix.duration_s, args.out
     )
     for config_id, phase, seed, error in outcome.failures:
         print(f"failed: {config_id} phase={phase} seed={seed}: {error}", file=sys.stderr)

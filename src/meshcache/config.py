@@ -4,13 +4,14 @@ Config IDs name an estimation algorithm plus its parameter, e.g.
 "static-10", "adaptive-0.25", "updaterisk-0.90": every "<family>-<number>"
 string parses the same way. The number is a plain ASCII decimal, digits
 for static and digits with an optional ".digits" fraction for the other
-families, so no other spelling runs one algorithm under a second name.
-CONFIG_IDS names the evaluation suite's twelve ids in the order results
-are reported. A "dynamic-" prefix on any family's id ("dynamic-static-1",
-"dynamic-adaptive-0.25") is accepted as an alias and normalized away.
+families. An id is its own name: the run directory and the result carry
+it as written. Leading and trailing zeros still spell one algorithm two
+ways ("static-7", "static-07"); a suite runs each algorithm once, under
+the first spelling it lists. CONFIG_IDS names the evaluation suite's
+twelve ids in the order results are reported.
 
 The suite matrix file lives here as well: one config id per line, plus
-optional phases=/seeds=/duration_s=/clock= lines.
+optional phases=/seeds=/duration_s= lines.
 """
 
 from __future__ import annotations
@@ -50,15 +51,12 @@ _FAMILIES: dict[str, tuple[re.Pattern[str], Callable[[str], AlgorithmConfig]]] =
 
 
 def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
-    """Resolve an id to (canonical id, algorithm config).
+    """Resolve an id to (the id, algorithm config).
 
     Raises ValueError for anything that names no known family or carries
     an unusable parameter.
     """
-    name = config_id.strip()
-    if name.startswith("dynamic-"):
-        name = name[len("dynamic-") :]
-    family, sep, param = name.partition("-")
+    family, sep, param = config_id.partition("-")
     if not sep or not param:
         raise ValueError(f"config id {config_id!r} is not <family>-<parameter>")
     if family not in _FAMILIES:
@@ -67,17 +65,16 @@ def parse_config_id(config_id: str) -> tuple[str, AlgorithmConfig]:
     if not grammar.fullmatch(param):
         raise ValueError(f"config id {config_id!r}: {param!r} is not a plain ASCII decimal")
     try:
-        return name, build(param)
+        return config_id, build(param)
     except ValueError as exc:
         raise ValueError(f"config id {config_id!r}: {exc}") from None
 
 
 def canonical_order(config_id: str) -> tuple[int, str]:
     """Sort key: the suite's ids in CONFIG_IDS order, then the rest by name."""
-    canonical, _ = parse_config_id(config_id)
-    if canonical in CONFIG_IDS:
-        return CONFIG_IDS.index(canonical), canonical
-    return len(CONFIG_IDS), canonical
+    if config_id in CONFIG_IDS:
+        return CONFIG_IDS.index(config_id), config_id
+    return len(CONFIG_IDS), config_id
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,10 @@ class SuiteMatrix:
     phases: tuple[str, ...] = tuple(PHASE_SHIFTS)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     duration_s: float = 300.0
-    clock: str = "virtual"
 
     def __post_init__(self) -> None:
         if not self.config_ids:
             raise ValueError("matrix lists no config ids")
-        if self.clock not in ("virtual", "real"):
-            raise ValueError(f"clock must be virtual or real, got {self.clock!r}")
         if not self.phases or not self.seeds:
             raise ValueError("matrix needs at least one phase and one seed")
         for phase in self.phases:  # the checks each run's workload makes
@@ -121,8 +115,8 @@ def parse_matrix(text: str) -> SuiteMatrix:
             key, _, value = line.partition("=")
             options[key.strip()] = value.strip()
             continue
-        canonical, _ = parse_config_id(line)  # validates; raises ValueError
-        config_ids.append(canonical)
+        parse_config_id(line)  # validates; raises ValueError
+        config_ids.append(line)
     kwargs: dict = {}
     # Each phase and seed runs once, however often the file lists it.
     if "phases" in options:
@@ -133,8 +127,6 @@ def parse_matrix(text: str) -> SuiteMatrix:
         kwargs["seeds"] = tuple(dict.fromkeys(_number("seeds", int, s) for s in seeds))
     if "duration_s" in options:
         kwargs["duration_s"] = _number("duration_s", float, options.pop("duration_s"))
-    if "clock" in options:
-        kwargs["clock"] = options.pop("clock")
     if options:
         raise ValueError(f"unknown matrix keys: {sorted(options)}")
     return SuiteMatrix(tuple(dict.fromkeys(config_ids)), **kwargs)

@@ -7,9 +7,9 @@ metadata where N comes from the configured estimation algorithm. Error
 responses pass through untouched (no history update, no TTL: errors are
 not cacheable).
 
-Methods on the blacklist (exact names or trailing-'*' prefixes) are
-annotated max-age=0 and never gain a history entry, so state-mutating
-calls can be excluded from caching.
+Methods on the blacklist (each entry one method name, matched exactly)
+are annotated max-age=0 and never gain a history entry, so
+state-mutating calls can be excluded from caching.
 
 The history table is keyed on the request itself, the (method, payload)
 tuple, as the cache's store is; only the response body is digested.
@@ -45,19 +45,17 @@ from .wire import STATUS_OK, Message, validate_method_name
 DEFAULT_HOUSEKEEPING_AFTER_S = 300.0
 
 
-def validate_blacklist(patterns: Iterable[str]) -> tuple[str, ...]:
-    """Check blacklist patterns up front: method-name rules, '*' only trailing."""
+def validate_blacklist(names: Iterable[str]) -> frozenset[str]:
+    """Check blacklist entries up front: each one exact method name."""
     checked = []
-    for pattern in patterns:
-        name = pattern[:-1] if pattern.endswith("*") else pattern
+    for name in names:
+        # '*' is legal in a method name, so a wildcard pattern would
+        # otherwise quietly match only the method of that exact name.
         if "*" in name:
-            raise ValueError(f"'*' is only allowed as a trailing wildcard: {pattern!r}")
-        if name:
-            validate_method_name(name)
-        elif not pattern:
-            raise ValueError("empty blacklist pattern")
-        checked.append(pattern)
-    return tuple(checked)
+            raise ValueError(f"blacklist entries are exact method names, not patterns: {name!r}")
+        validate_method_name(name)
+        checked.append(name)
+    return frozenset(checked)
 
 
 def validate_housekeeping_after(seconds: float) -> None:
@@ -79,16 +77,6 @@ def ttl_texts(ttl: int) -> tuple[str, str]:
     """The TTL as text and as its cache-control value, memoised per TTL."""
     text = str(ttl)
     return text, "max-age=" + text
-
-
-def blacklist_matches(patterns: Iterable[str], method: str) -> bool:
-    for pattern in patterns:
-        if pattern.endswith("*"):
-            if method.startswith(pattern[:-1]):
-                return True
-        elif method == pattern:
-            return True
-    return False
 
 
 class Estimator:
@@ -129,7 +117,7 @@ class Estimator:
         if response.status != STATUS_OK:
             return response
 
-        if self._blacklist and blacklist_matches(self._blacklist, request.method):
+        if request.method in self._blacklist:
             return response.with_metadata("cache-control", "max-age=0")
 
         key = (request.method, request.payload)

@@ -422,7 +422,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     metrics.totals()  # a run with no completed query or cache lookup fails here
     result = ExperimentResult(
         **vars(metrics),
-        config_id=parse_config_id(cfg.config_id)[0],
+        config_id=cfg.config_id,
         phase_tag=cfg.phase_tag,
         seed=cfg.seed,
         duration_s=cfg.duration_s,
@@ -619,9 +619,8 @@ def run_suite(
     seeds: Sequence[int],
     duration_s: float,
     out_dir: str | Path,
-    clock_mode: str = "virtual",
 ) -> SuiteOutcome:
-    """Run the cross product and write per-run dirs plus scatter.csv.
+    """Run the cross product on the virtual clock; write per-run dirs plus scatter.csv.
 
     Each algorithm, phase and seed runs once, however often it is listed:
     config ids that parse to one algorithm run under the first spelling.
@@ -630,8 +629,7 @@ def run_suite(
     out_path.mkdir(parents=True, exist_ok=True)
     spellings: dict[AlgorithmConfig, str] = {}
     for config_id in config_ids:
-        name, algorithm = parse_config_id(config_id)
-        spellings.setdefault(algorithm, name)
+        spellings.setdefault(parse_config_id(config_id)[1], config_id)
     ordered_ids = sorted(spellings.values(), key=canonical_order)
     results: list[ExperimentResult] = []
     failures: list[tuple[str, str, int, str]] = []
@@ -644,7 +642,6 @@ def run_suite(
                         phase_tag=phase,
                         seed=seed,
                         duration_s=duration_s,
-                        clock_mode=clock_mode,
                     )
                     results.append(
                         run_experiment(cfg, run_dir(out_path, config_id, phase, seed))

@@ -107,12 +107,16 @@ class WorkloadConfig:
                 f"phase_tag must be one of {sorted(PHASE_SHIFTS)}, got {self.phase_tag!r}"
             )
         # The run's timestamps are int64 nanoseconds, as the event log keeps them.
-        if not (self.duration_s > 0 and self.duration_s * NS_PER_S < 2**63):
+        if isinstance(self.duration_s, bool) or not (
+            self.duration_s > 0 and self.duration_s * NS_PER_S < 2**63
+        ):
             raise ValueError(
                 f"duration_s must be positive and finite in nanoseconds, got {self.duration_s}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # A bool passes as a number but result.json would record it as true, and
+        # a float seed would fail later in rng's integer arithmetic.
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def query(self) -> SinusoidConfig:

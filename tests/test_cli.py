@@ -37,12 +37,12 @@ def test_run_writes_a_run_directory_and_reports_metrics(tmp_path, capsys):
         assert (run / name).exists()
 
 
-def test_run_normalizes_dynamic_prefix(tmp_path):
-    assert main(
-        ["run", "--config-id", "dynamic-adaptive-0.5", "--duration-s", "5",
-         "--out", str(tmp_path)]
-    ) == 0
-    assert (tmp_path / "adaptive-0.5" / "0" / "seed-1" / "result.json").exists()
+def test_run_refuses_a_dynamic_prefix(tmp_path, capsys):
+    code = main(["run", "--config-id", "dynamic-adaptive-0.5", "--duration-s", "5",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "bad config: config id" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_rejects_unknown_config(tmp_path, capsys):
@@ -274,6 +274,8 @@ def add_window(data, field, value):
     "edit, field, value",
     [
         (set_field, "config_id", "bogus-1"),
+        (set_field, "config_id", "dynamic-static-1"),
+        (set_field, "config_id", " static-1"),
         (set_field, "total_queries", "x"),
         (set_field, "total_queries", 0),
         (set_field, "phase", "zz"),
@@ -294,7 +296,8 @@ def add_window(data, field, value):
         (set_window_value, (0, 3), math.inf),
     ],
     ids=[
-        "config-id", "count", "no-queries", "phase", "window", "cache-hits",
+        "config-id", "dynamic-config-id", "padded-config-id", "count", "no-queries", "phase",
+        "window", "cache-hits",
         "negative-stale", "stale-above-total", "negative-hits", "negative-seed",
         "clock", "duration", "negative-expirations", "window-count", "window-start",
         "error-fraction", "hit-fraction", "negative-ttl", "infinite-ttl",

@@ -11,7 +11,6 @@ from meshcache.digests import response_digest
 from meshcache.effects import DirectLink, drive, invoke_handler
 from meshcache.estimator import (
     Estimator,
-    blacklist_matches,
     housekeeping_loop,
     ttl_texts,
     validate_blacklist,
@@ -217,25 +216,16 @@ def test_blacklisted_methods_get_max_age_zero_and_no_state():
     assert call(est, clock).metadata_value("cache-control") == "max-age=5"
 
 
-def test_blacklist_prefix_wildcard():
+def test_a_blacklist_entry_matches_only_its_own_method():
     clock = VirtualClock()
-    est, _, _ = make_estimator(StaticTtl(5), clock, blacklist=("Set*",))
+    est, _, _ = make_estimator(StaticTtl(5), clock, blacklist=("SetValue",))
     assert call(est, clock, "SetValue").metadata_value("cache-control") == "max-age=0"
-    assert call(est, clock, "Settle").metadata_value("cache-control") == "max-age=0"
-    assert call(est, clock, "GetValue").metadata_value("cache-control") == "max-age=5"
-
-
-def test_blacklist_matches_rules():
-    assert blacklist_matches(("SetValue",), "SetValue")
-    assert not blacklist_matches(("SetValue",), "SetValues")
-    assert blacklist_matches(("Set*",), "SetAnything")
-    assert blacklist_matches(("*",), "Whatever")
-    assert not blacklist_matches((), "SetValue")
+    assert call(est, clock, "SetValues").metadata_value("cache-control") == "max-age=5"
 
 
 def test_validate_blacklist_rejects_bad_patterns():
-    assert validate_blacklist(["A", "B*"]) == ("A", "B*")
-    for bad in ["Mid*dle", "", "with,comma"]:
+    assert validate_blacklist(["A", "B", "A"]) == frozenset({"A", "B"})
+    for bad in ["Mid*dle", "B*", "*", "", "with,comma"]:
         with pytest.raises(ValueError):
             validate_blacklist([bad])
 

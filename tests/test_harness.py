@@ -223,9 +223,11 @@ def test_experiment_config_validation():
         ExperimentConfig(config_id="static-1", clock_mode="sundial")
     with pytest.raises(ValueError):
         ExperimentConfig(config_id="static-1", duration_s=0.0)
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError):
+    for seed in (-1, 2**64, True, 1.0):
+        with pytest.raises(ValueError, match="seed must be"):
             ExperimentConfig(config_id="static-1", seed=seed)
+    with pytest.raises(ValueError, match="duration_s must be"):
+        ExperimentConfig(config_id="static-1", duration_s=True)
     for latency in (-1.0, math.nan, math.inf, 1e300, 1e10):
         with pytest.raises(ValueError, match="link_latency_s must be non-negative and finite"):
             ExperimentConfig(config_id="static-1", link_latency_s=latency)
@@ -817,7 +819,7 @@ def test_write_timeseries_format(tmp_path):
 
 def test_run_suite_layout_and_scatter(tmp_path):
     outcome = run_suite(
-        ["dynamic-adaptive-0.5", "static-1"],
+        ["adaptive-0.5", "static-1"],
         phases=("0", "pi"),
         seeds=(1, 2),
         duration_s=5.0,
@@ -839,7 +841,7 @@ def test_run_suite_runs_each_algorithm_phase_and_seed_once(tmp_path):
     outcome = run_suite(["static-1"], ["0", "0"], [1, 1], 5.0, tmp_path / "repeats")
     assert [(r.config_id, r.phase_tag, r.seed) for r in outcome.results] == [("static-1", "0", 1)]
     # Two spellings of one algorithm run once, under the first one listed.
-    ids = ["static-7", "static-07", "adaptive-0.50", "dynamic-adaptive-0.5", "adaptive-0.5"]
+    ids = ["static-7", "static-07", "adaptive-0.50", "adaptive-0.5"]
     outcome = run_suite(ids, ["0"], [1], 5.0, tmp_path / "spellings")
     assert [r.config_id for r in outcome.results] == ["adaptive-0.50", "static-7"]
     assert sorted(p.name for p in (tmp_path / "spellings").iterdir()) == [
