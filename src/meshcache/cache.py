@@ -13,9 +13,15 @@ it holds a reference to the request's payload. Python caches the hash of
 a bytes object, so a repeated request hashes its payload once.
 
 Freshness is decided lazily at lookup, which deletes an expired entry
-when its key comes back. expire_scan() drops every expired entry at once
-and never affects correctness, but no program path calls it, so an
-expired entry whose key is not looked up again stays in the store.
+when its key comes back; an expired entry whose key is not looked up
+again stays in the store.
+
+A fill keeps the last upstream response it parsed and that response's
+max-age, and reuses the TTL when the next response is the same object.
+An estimator hands back one annotated response object between two
+changes of the server's value, so most fills skip the header lookup and
+parse. Identity is safe: a Message is immutable, and the memo holds its
+reference, so no other response can take its id.
 """
 
 from __future__ import annotations
@@ -89,6 +95,9 @@ class Cache:
         self._misses = 0
         self._insertions = 0
         self._expirations = 0
+        # (the last OK response a fill parsed, its max-age), one tuple so a
+        # reader never sees half of an update.
+        self._max_age_memo: tuple[Message | None, int | None] = (None, None)
 
     def size(self) -> int:
         return len(self._store)
@@ -118,18 +127,12 @@ class Cache:
 
         response = yield from self._upstream.exchange(request)
         if response.status == STATUS_OK:
-            ttl_s = parse_max_age(response.metadata_value("cache-control"))
+            parsed, ttl_s = self._max_age_memo
+            if response is not parsed:
+                ttl_s = parse_max_age(response.metadata_value("cache-control"))
+                self._max_age_memo = (response, ttl_s)
             if ttl_s is not None and ttl_s >= 1:
                 expires_at_ns = self._clock.now_ns() + ttl_s * NS_PER_S
                 self._store[key] = _new(CacheEntry, (key, response, expires_at_ns))
                 self._insertions += 1
         return response
-
-    def expire_scan(self) -> int:
-        """Drop every entry with expires_at <= now; returns how many."""
-        now_ns = self._clock.now_ns()
-        dead = [k for k, e in self._store.items() if e.expires_at_ns <= now_ns]
-        for k in dead:
-            del self._store[k]
-        self._expirations += len(dead)
-        return len(dead)

@@ -19,6 +19,19 @@ so the table tracks only recently requested keys.
 
 The TTL's text and its "max-age=N" value come from one bounded memo, so
 an estimate looks both up instead of paying a str() and a concatenation.
+
+A response changes far less often than it is read, so each estimator
+keeps two one-entry memos, and a miss between two server updates skips
+the digest and the metadata copy. The digest memo keys on the last body
+digested: a body that is that object or equal to it has its digest, since
+response_digest is a pure function of the bytes. Equality, not identity,
+lets freshly decoded live responses hit it too. The annotation memo keys
+on the identity of the upstream response and of its "max-age=N" text,
+and holds the annotated response built from them. Identity is safe
+there: a Message and its bytes payload are immutable, the memo holds its
+references so no id is reused while it keys on it, and ttl_texts hands
+out one string per TTL. Every observation still goes through observe(),
+which validates the history it builds.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from .ttl import (
 from .wire import STATUS_OK, Message, validate_method_name
 
 DEFAULT_HOUSEKEEPING_AFTER_S = 300.0
+MIN_HOUSEKEEPING_AFTER_S = 0.01
 
 
 def validate_blacklist(names: Iterable[str]) -> frozenset[str]:
@@ -59,10 +73,18 @@ def validate_blacklist(names: Iterable[str]) -> frozenset[str]:
 
 
 def validate_housekeeping_after(seconds: float) -> None:
-    """Check a housekeeping window up front: positive, and finite in nanoseconds."""
+    """Check a housekeeping window up front: finite in nanoseconds, at least the floor."""
     if not (seconds > 0 and math.isfinite(seconds * NS_PER_S)):
         raise ValueError(
             f"housekeeping_after_s must be positive and finite in nanoseconds, got {seconds}"
+        )
+    # The sweep runs every window/10. Under the floor it would run more
+    # than once per ms of run time; at 4e-9 s its interval rounds to 0 ns
+    # and a run never ends.
+    if seconds < MIN_HOUSEKEEPING_AFTER_S:
+        raise ValueError(
+            f"housekeeping_after_s must be at least {MIN_HOUSEKEEPING_AFTER_S} s"
+            f" (a sweep at most once per ms), got {seconds}"
         )
 
 
@@ -103,6 +125,11 @@ class Estimator:
         self._max_ttl_cap = max_ttl_cap
         self._depth = algorithm.history_depth
         self._table: dict[tuple[str, bytes], ObservationHistory] = {}
+        # One-entry memos (see the module docstring), each one tuple so a
+        # reader never sees half of an update: (body, its digest) and
+        # (upstream response, max-age text, the annotated response).
+        self._digest_memo: tuple[bytes | None, bytes] = (None, b"")
+        self._annotation_memo: tuple[Message | None, str, Message | None] = (None, "", None)
 
     @property
     def housekeeping_after_s(self) -> float:
@@ -124,14 +151,22 @@ class Estimator:
         history = self._table.get(key)
         if history is None:
             history = empty_history(self._depth)
-        digest = response_digest(response.payload)
+        payload = response.payload
+        digested, digest = self._digest_memo
+        if payload is not digested and payload != digested:
+            digest = response_digest(payload)
+            self._digest_memo = (payload, digest)
         now_ns = self._clock.now_ns()
         history = self._table[key] = observe(history, now_ns, digest)
         ttl = estimate(self._algorithm, history, now_ns, self._max_ttl_cap)
         ttl_text, max_age = ttl_texts(ttl)
         if self._log is not None:
             self._log.record(now_ns, "estimator", request.method, "estimate", ttl_text)
-        return response.with_metadata("cache-control", max_age)
+        annotated_from, annotated_max_age, annotated = self._annotation_memo
+        if response is not annotated_from or max_age is not annotated_max_age:
+            annotated = response.with_metadata("cache-control", max_age)
+            self._annotation_memo = (response, max_age, annotated)
+        return annotated
 
     def housekeeping_sweep(self) -> int:
         """Evict entries idle longer than the housekeeping window."""

@@ -148,9 +148,11 @@ class ObservationHistory(_HistoryFields):
     ) -> "ObservationHistory":
         if history_depth < 1:
             raise ValueError("history_depth must be >= 1")
-        if len(change_timestamps) > history_depth:
+        n_stamps = len(change_timestamps)
+        if n_stamps > history_depth:
             raise ValueError("more change timestamps than history_depth allows")
-        if not all(map(le, change_timestamps, change_timestamps[1:])):
+        # 0 or 1 stamps are in order; only a longer run is scanned.
+        if n_stamps > 1 and not all(map(le, change_timestamps, change_timestamps[1:])):
             raise ValueError("change_timestamps must be non-decreasing")
         if change_timestamps and last_digest is None:
             raise ValueError("recorded changes require a last_digest")

@@ -1,5 +1,8 @@
 """Cache sidecar: lookup, fill, absolute expiry, stats, log rows."""
 
+import inspect
+import random
+
 import pytest
 
 from meshcache.cache import Cache, parse_max_age
@@ -7,6 +10,7 @@ from meshcache.clock import NS_PER_S, VirtualClock
 from meshcache.effects import DirectLink, drive, invoke_handler
 from meshcache.eventlog import EventLog
 from meshcache.wire import Message
+from reference_sidecars import ReferenceCache, Scripted
 
 
 class Origin:
@@ -163,29 +167,49 @@ def test_log_rows_use_empty_value_field():
     assert log.render() == "42,cache,GetValue,miss,\n42,cache,GetValue,hit,\n"
 
 
-def test_expire_scan_drops_dead_entries_only():
+
+# --- the fill's max-age memo against the plain handler ---
+
+
+HEADERS = [None, "max-age=0", "max-age=1", "max-age=3", "no-store, max-age=2", "max-age=x"]
+
+
+def scripted_fills(rng, steps):
+    """Responses that repeat an object, copy it, change its header, or fail."""
+    response = Message.response("GetValue", b"r0", (("cache-control", "max-age=3"),))
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.4:
+            pass  # the same response object again
+        elif roll < 0.55:  # an equal response in a distinct object
+            response = Message._make(list(response))
+        elif roll < 0.9:
+            header = rng.choice(HEADERS)
+            metadata = () if header is None else (("cache-control", header),)
+            response = Message.response("GetValue", b"r%d" % step, metadata)
+        else:
+            response = Message.error_response("GetValue", "origin down")
+        yield response
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoised_cache_matches_the_plain_handler(seed):
+    assert inspect.isgeneratorfunction(Cache.handle)  # bench/tracer.py drives it with send
+    rng = random.Random(seed)
     clock = VirtualClock()
-    cache, _, _ = make_cache(clock, header="max-age=1")
-    lookup(cache, clock, payload=b"a")
-    clock.advance_to(int(0.5 * NS_PER_S))
-    lookup(cache, clock, payload=b"b")
-    clock.advance_to(1 * NS_PER_S)  # "a" is exactly at its boundary: dead
-    assert cache.expire_scan() == 1
-    assert cache.size() == 1
-    assert cache.snapshot_stats().expirations == 1
-
-
-def test_expire_scan_is_cosmetic_for_correctness():
-    # Lazy expiry already refuses stale entries; a scan just frees memory.
-    clock = VirtualClock()
-    with_scan, _, _ = make_cache(clock, header="max-age=1")
-    lookup(with_scan, clock)
-    clock.advance_to(3 * NS_PER_S)
-    with_scan.expire_scan()
-    assert lookup(with_scan, clock).payload == b"r2"
-
-    clock2 = VirtualClock()
-    without_scan, _, _ = make_cache(clock2, header="max-age=1")
-    lookup(without_scan, clock2)
-    clock2.advance_to(3 * NS_PER_S)
-    assert lookup(without_scan, clock2).payload == b"r2"
+    sides = []
+    for cls in (Cache, ReferenceCache):
+        upstream, log = Scripted(), EventLog()
+        sides.append((cls(DirectLink(upstream.handle, clock), clock, log), upstream, log))
+    (cache, upstream, log), (ref, ref_upstream, ref_log) = sides
+    now_ns = 0
+    for response in scripted_fills(rng, 200):
+        now_ns += rng.choice([0, NS_PER_S // 1000, 3 * NS_PER_S // 10, NS_PER_S, 5 * NS_PER_S // 2])
+        clock.advance_to(now_ns)
+        request = Message.request("GetValue", rng.choice([b"", b"k2"]))
+        upstream.response = ref_upstream.response = response
+        answer = drive(invoke_handler(cache.handle, request), clock)
+        assert answer == drive(invoke_handler(ref.handle, request), clock)
+        assert cache._store == ref._store
+    assert cache.snapshot_stats() == ref.snapshot_stats()
+    assert log.render() == ref_log.render()

@@ -125,6 +125,13 @@ def test_estimator_config_refuses_a_bad_housekeeping_window(value):
         ExperimentConfig("static-1", housekeeping_after_s=float(value))
 
 
+@pytest.mark.parametrize("value", [4e-9, 6e-9, 0.0099])
+def test_estimator_config_refuses_a_housekeeping_window_below_the_floor(value):
+    # At 4e-9 s the sweep interval rounds to 0 ns and the run never ended.
+    with pytest.raises(ValueError, match=r"housekeeping_after_s must be at least 0\.01 s"):
+        ExperimentConfig("static-1", housekeeping_after_s=value)
+
+
 @pytest.mark.parametrize("value", [-1, 1.5, "ten", ""])
 def test_estimator_config_refuses_a_bad_ttl_cap_by_name(value):
     with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):

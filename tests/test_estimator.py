@@ -1,10 +1,13 @@
 """Estimator sidecar: forwarding, TTL annotation, blacklist, housekeeping."""
 
 import hashlib
+import inspect
 import math
+import random
 
 import pytest
 
+from meshcache import estimator as estimator_module
 from meshcache.cache import Cache
 from meshcache.clock import NS_PER_S, VirtualClock
 from meshcache.digests import response_digest
@@ -16,9 +19,11 @@ from meshcache.estimator import (
     validate_blacklist,
 )
 from meshcache.eventlog import EventLog
+from meshcache.harness import ExperimentConfig, run_experiment
 from meshcache.sim import Simulation
 from meshcache.ttl import AdaptiveTtl, StaticTtl, UpdateRiskTtl
 from meshcache.wire import Message
+from reference_sidecars import ReferenceEstimator, Scripted
 
 
 class Upstream:
@@ -267,6 +272,18 @@ def test_housekeeping_after_must_be_finite(after):
         make_estimator(StaticTtl(1), VirtualClock(), housekeeping_after_s=after)
 
 
+@pytest.mark.parametrize("after", [4e-9, 6e-9, 1e-6, 0.0099])
+def test_housekeeping_after_has_a_floor(after):
+    # A sweep every window/10 that rounds to 0 ns would never let a run end.
+    with pytest.raises(ValueError, match=r"housekeeping_after_s must be at least 0\.01 s"):
+        make_estimator(StaticTtl(1), VirtualClock(), housekeeping_after_s=after)
+
+
+def test_a_run_at_the_housekeeping_floor_ends():
+    cfg = ExperimentConfig("static-1", duration_s=2.0, housekeeping_after_s=0.01)
+    assert run_experiment(cfg).total_queries > 0
+
+
 def test_housekeeping_loop_sweeps_periodically_in_simulation():
     sim = Simulation()
     upstream = Upstream()
@@ -285,3 +302,79 @@ def test_housekeeping_loop_sweeps_periodically_in_simulation():
     sim.spawn(housekeeping_loop(est, 20 * NS_PER_S, sim.clock))
     sim.run(until_ns=20 * NS_PER_S)
     assert est.table_size() == 0
+
+
+# --- memos against the plain handler ---
+
+
+def scripted_responses(rng, steps):
+    """Responses that repeat an object, repeat a body, change it, or fail."""
+    payload = b"value-000"
+    response = Message.response("GetValue", payload)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.35:
+            pass  # the same response object again
+        elif roll < 0.55:  # an equal body in a distinct bytes object
+            response = Message.response("GetValue", bytes(bytearray(payload)))
+        elif roll < 0.8:  # a changed body of the same length
+            payload = b"value-%03d" % rng.randrange(1000)
+            response = Message.response("GetValue", payload)
+        elif roll < 0.9:  # a header the annotation replaces
+            response = Message.response("GetValue", payload, (("cache-control", "max-age=99"),))
+        else:
+            response = Message.error_response("GetValue", "origin down")
+        yield response
+
+
+@pytest.mark.parametrize(
+    "algorithm, seed",
+    [(StaticTtl(5), 1), (AdaptiveTtl(0.5), 2), (UpdateRiskTtl(0.3), 3), (AdaptiveTtl(0.1), 4)],
+)
+def test_memoised_estimator_matches_the_plain_handler(algorithm, seed):
+    assert inspect.isgeneratorfunction(Estimator.handle)  # bench/tracer.py drives it with send
+    rng = random.Random(seed)
+    clock = VirtualClock()
+    sides = []
+    for cls in (Estimator, ReferenceEstimator):
+        upstream, log = Scripted(), EventLog()
+        est = cls(algorithm, DirectLink(upstream.handle, clock), clock, log, ("SetValue",))
+        sides.append((est, upstream, log))
+    (est, upstream, log), (ref, ref_upstream, ref_log) = sides
+    steps_ns = [0, 0, NS_PER_S // 1000, 4 * NS_PER_S // 10, 3 * NS_PER_S // 2, 7 * NS_PER_S]
+    now_ns = 0
+    for response in scripted_responses(rng, 200):
+        now_ns += rng.choice(steps_ns)
+        clock.advance_to(now_ns)
+        method = "SetValue" if rng.random() < 0.05 else "GetValue"
+        request = Message.request(method, rng.choice([b"", b"k2"]))
+        upstream.response = ref_upstream.response = response
+        answer = drive(invoke_handler(est.handle, request), clock)
+        assert answer == drive(invoke_handler(ref.handle, request), clock)
+        assert est._table == ref._table
+    assert log.render() == ref_log.render()
+
+
+@pytest.mark.parametrize("config_id", ["static-0", "static-30", "adaptive-0.5"])
+def test_a_run_digests_once_per_server_value(config_id, monkeypatch):
+    # The server's value changes only on an update, so the estimator digests
+    # at most one body per update plus the initial one; a static TTL also
+    # annotates at most that often. Host-independent cost counts.
+    digests, annotations = [], []
+    real_digest, real_with_metadata = estimator_module.response_digest, Message.with_metadata
+
+    def counting_digest(payload):
+        digests.append(payload)
+        return real_digest(payload)
+
+    def counting_with_metadata(message, key, value):
+        annotations.append(value)
+        return real_with_metadata(message, key, value)
+
+    monkeypatch.setattr(estimator_module, "response_digest", counting_digest)
+    monkeypatch.setattr(Message, "with_metadata", counting_with_metadata)
+    result = run_experiment(ExperimentConfig(config_id, phase_tag="pi2", duration_s=600.0))
+    assert result.total_updates > 0 and digests
+    assert len(digests) <= result.total_updates + 1
+    if config_id.startswith("static-"):
+        assert len(annotations) <= result.total_updates + 1
