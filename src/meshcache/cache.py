@@ -18,10 +18,12 @@ again stays in the store.
 
 A fill keeps the last upstream response it parsed and that response's
 max-age, and reuses the TTL when the next response is the same object.
-An estimator hands back one annotated response object between two
-changes of the server's value, so most fills skip the header lookup and
-parse. Identity is safe: a Message is immutable, and the memo holds its
-reference, so no other response can take its id.
+On the virtual path an estimator hands back one annotated response
+object between two changes of the server's value, so most fills skip
+the header lookup and parse. Each live hop decodes a fresh Message, so
+there the memo never hits and every fill looks the header up (the parse
+itself is memoised per value). Identity is safe: a Message is immutable,
+and the memo holds its reference, so no other response can take its id.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ MAX_AGE_CACHE_SIZE = 256
 
 
 class CacheEntry(NamedTuple):
-    key: tuple[str, bytes]  # (method, payload) of the request
     response: Message
     expires_at_ns: int
 
@@ -133,6 +134,6 @@ class Cache:
                 self._max_age_memo = (response, ttl_s)
             if ttl_s is not None and ttl_s >= 1:
                 expires_at_ns = self._clock.now_ns() + ttl_s * NS_PER_S
-                self._store[key] = _new(CacheEntry, (key, response, expires_at_ns))
+                self._store[key] = _new(CacheEntry, (response, expires_at_ns))
                 self._insertions += 1
         return response

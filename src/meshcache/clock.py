@@ -7,6 +7,9 @@ clock; wall-clock time is never consulted.
 SystemClock wraps time.monotonic_ns for live deployments. VirtualClock is
 advanced explicitly by the discrete-event scheduler (see sim.py), which is
 what makes full-length experiments reproducible and fast.
+
+A clock is only read, never waited on: a task waits by yielding a Sleep
+effect to its scheduler (sim.py, or the TCP backend's loop).
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ class Clock(Protocol):
 
     def now_ns(self) -> int: ...
 
-    def sleep_until(self, deadline_ns: int) -> None: ...
-
 
 class SystemClock:
     """Real clock backed by time.monotonic_ns()."""
@@ -43,22 +44,12 @@ class SystemClock:
     def now_ns(self) -> int:
         return time.monotonic_ns()
 
-    def sleep_until(self, deadline_ns: int) -> None:
-        while True:
-            remaining = deadline_ns - time.monotonic_ns()
-            if remaining <= 0:
-                return
-            time.sleep(remaining / NS_PER_S)
-
 
 class VirtualClock:
     """Simulated clock; time moves only when the scheduler advances it.
 
-    Tasks running under the scheduler must express waits as Sleep effects
-    rather than calling sleep_until, which would otherwise stall the
-    single-threaded event loop forever. The scheduler owns the time:
-    besides advance_to(), a wake-up that resumes in place (sim.py) moves
-    _now_ns forward as a field.
+    The scheduler owns the time: besides advance_to(), a wake-up that
+    resumes in place (sim.py) moves _now_ns forward as a field.
     """
 
     def __init__(self, start_ns: int = 0) -> None:
@@ -66,11 +57,6 @@ class VirtualClock:
 
     def now_ns(self) -> int:
         return self._now_ns
-
-    def sleep_until(self, deadline_ns: int) -> None:
-        raise RuntimeError(
-            "virtual time cannot block; yield a Sleep effect inside a simulation task"
-        )
 
     def advance_to(self, t_ns: int) -> None:
         if t_ns < self._now_ns:

@@ -11,8 +11,8 @@ hop inside the caller's generator, so its event loop only sees Sleep. A
 TCP link yields one Call: the TCP backend's selector loop (tcp.py)
 performs it without blocking and resumes the generator when the response
 arrives, while drive(), the blocking interpreter for code off that loop,
-performs it with the link's send() and turns Sleep into a real sleep.
-Handlers may also be plain
+performs it with the link's send(). Only a scheduler waits: drive()
+performs Call alone and refuses a Sleep. Handlers may also be plain
 functions that return a response directly; invoke_handler() normalizes
 both shapes and converts uncaught handler exceptions into ERROR responses
 so one bad request never takes down a connection or a simulation. The
@@ -25,7 +25,6 @@ from __future__ import annotations
 import types
 from typing import Any, Callable, Generator, NamedTuple, Protocol, Union
 
-from .clock import Clock
 from .wire import KIND_REQUEST, Message
 
 Handler = Callable[[Message], Union[Message, Generator]]
@@ -84,12 +83,13 @@ def handler_failure(request: Message, exc: Exception | None = None) -> Message:
     return Message.error_response(request.method, f"{type(exc).__name__}: {exc}")
 
 
-def drive(task: Union[Message, Generator], clock: Clock) -> Message:
-    """Run an effect generator to completion against real time and links.
+def drive(task: Union[Message, Generator]) -> Message:
+    """Run an effect generator to completion against real links.
 
-    Sleep waits on the clock; Call performs a blocking link.send(). A
-    TransportError from a link is thrown into the generator so the actor
-    can handle it; unhandled, it propagates to the caller.
+    Call performs a blocking link.send(); any other effect, Sleep
+    included, raises TypeError. A TransportError from a link is thrown
+    into the generator so the actor can handle it; unhandled, it
+    propagates to the caller.
     """
     if isinstance(task, Message):
         return task
@@ -103,16 +103,13 @@ def drive(task: Union[Message, Generator], clock: Clock) -> Message:
                 effect = task.send(value)
         except StopIteration as stop:
             return stop.value
-        value, error = None, None
-        if isinstance(effect, Sleep):
-            clock.sleep_until(clock.now_ns() + effect.duration_ns)
-        elif isinstance(effect, Call):
-            try:
-                value = effect.link.send(effect.message)
-            except TransportError as exc:
-                error = exc
-        else:
+        if not isinstance(effect, Call):
             raise TypeError(f"unknown effect {effect!r}")
+        value, error = None, None
+        try:
+            value = effect.link.send(effect.message)
+        except TransportError as exc:
+            error = exc
 
 
 class DirectLink:
@@ -120,15 +117,14 @@ class DirectLink:
 
     Useful for unit tests and for co-deployed components that share a
     process. exchange() runs the handler inside the caller's generator;
-    send() drives it to completion against the clock.
+    send() drives it to completion.
     """
 
-    def __init__(self, handler: Handler, clock: Clock) -> None:
+    def __init__(self, handler: Handler) -> None:
         self._handler = handler
-        self._clock = clock
 
     def exchange(self, request: Message) -> Generator:
         return (yield from invoke_handler(self._handler, request))
 
     def send(self, request: Message) -> Message:
-        return drive(self.exchange(request), self._clock)
+        return drive(self.exchange(request))

@@ -21,17 +21,20 @@ The TTL's text and its "max-age=N" value come from one bounded memo, so
 an estimate looks both up instead of paying a str() and a concatenation.
 
 A response changes far less often than it is read, so each estimator
-keeps two one-entry memos, and a miss between two server updates skips
-the digest and the metadata copy. The digest memo keys on the last body
+keeps two one-entry memos. The digest memo keys on the last body
 digested: a body that is that object or equal to it has its digest, since
 response_digest is a pure function of the bytes. Equality, not identity,
-lets freshly decoded live responses hit it too. The annotation memo keys
+lets freshly decoded live responses hit it too, so on both paths a miss
+between two server updates skips the digest. The annotation memo keys
 on the identity of the upstream response and of its "max-age=N" text,
 and holds the annotated response built from them. Identity is safe
 there: a Message and its bytes payload are immutable, the memo holds its
 references so no id is reused while it keys on it, and ttl_texts hands
-out one string per TTL. Every observation still goes through observe(),
-which validates the history it builds.
+out one string per TTL. It hits only on the virtual path, where the
+server hands the same response object up between two updates; each live
+hop decodes a fresh Message, so there every response is copied. Every
+observation still goes through observe(), which validates the history it
+builds.
 """
 
 from __future__ import annotations
@@ -72,28 +75,6 @@ def validate_blacklist(names: Iterable[str]) -> frozenset[str]:
     return frozenset(checked)
 
 
-def validate_housekeeping_after(seconds: float) -> None:
-    """Check a housekeeping window up front: finite in nanoseconds, at least the floor."""
-    if not (seconds > 0 and math.isfinite(seconds * NS_PER_S)):
-        raise ValueError(
-            f"housekeeping_after_s must be positive and finite in nanoseconds, got {seconds}"
-        )
-    # The sweep runs every window/10. Under the floor it would run more
-    # than once per ms of run time; at 4e-9 s its interval rounds to 0 ns
-    # and a run never ends.
-    if seconds < MIN_HOUSEKEEPING_AFTER_S:
-        raise ValueError(
-            f"housekeeping_after_s must be at least {MIN_HOUSEKEEPING_AFTER_S} s"
-            f" (a sweep at most once per ms), got {seconds}"
-        )
-
-
-def validate_max_ttl_cap(cap: int | None) -> None:
-    """Check a TTL cap up front: None (no cap) or an integer >= 0 (0: never cache)."""
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
-        raise ValueError(f"max_ttl_cap must be a non-negative integer or None, got {cap!r}")
-
-
 @lru_cache(maxsize=MAX_AGE_CACHE_SIZE)
 def ttl_texts(ttl: int) -> tuple[str, str]:
     """The TTL as text and as its cache-control value, memoised per TTL."""
@@ -114,15 +95,29 @@ class Estimator:
         housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S,
         max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
     ) -> None:
-        validate_housekeeping_after(housekeeping_after_s)
-        validate_max_ttl_cap(max_ttl_cap)
+        after, cap = housekeeping_after_s, max_ttl_cap
+        if not (after > 0 and math.isfinite(after * NS_PER_S)):
+            raise ValueError(
+                f"housekeeping_after_s must be positive and finite in nanoseconds, got {after}"
+            )
+        # The sweep runs every window/10. Under the floor it would run more
+        # than once per ms of run time; at 4e-9 s its interval rounds to 0 ns
+        # and a run never ends.
+        if after < MIN_HOUSEKEEPING_AFTER_S:
+            raise ValueError(
+                f"housekeeping_after_s must be at least {MIN_HOUSEKEEPING_AFTER_S} s"
+                f" (a sweep at most once per ms), got {after}"
+            )
+        # None: no cap; 0: never cache.
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"max_ttl_cap must be a non-negative integer or None, got {cap!r}")
         self._algorithm = algorithm
         self._upstream = upstream
         self._clock = clock
         self._log = log
         self._blacklist = validate_blacklist(blacklist)
-        self._housekeeping_after_ns = seconds_to_ns(housekeeping_after_s)
-        self._max_ttl_cap = max_ttl_cap
+        self._housekeeping_after_ns = seconds_to_ns(after)
+        self._max_ttl_cap = cap
         self._depth = algorithm.history_depth
         self._table: dict[tuple[str, bytes], ObservationHistory] = {}
         # One-entry memos (see the module docstring), each one tuple so a

@@ -46,16 +46,10 @@ from .cache import Cache, CacheStats
 from .clock import NS_PER_S, Clock, SystemClock, seconds_to_ns
 from .config import canonical_order, parse_config_id
 from .effects import Handler, Link, Sleep
-from .estimator import (
-    DEFAULT_HOUSEKEEPING_AFTER_S,
-    Estimator,
-    housekeeping_loop,
-    validate_housekeeping_after,
-    validate_max_ttl_cap,
-)
+from .estimator import Estimator, housekeeping_loop
 from .eventlog import EventLog, EventRow, RowKind, parse_event_lines
 from .sim import Simulation
-from .ttl import DEFAULT_MAX_TTL_CAP, AlgorithmConfig
+from .ttl import AlgorithmConfig
 from .workload import (
     GET_METHOD,
     PHASE_SHIFTS,
@@ -76,7 +70,8 @@ WINDOW_S = 15.0
 class ExperimentConfig:
     """One run: an algorithm id against one workload instance.
 
-    The run's estimator and workload are built from these fields alone.
+    The run's workload is built from these fields alone, and its
+    estimator from the algorithm with Estimator's default settings.
     """
 
     config_id: str
@@ -84,8 +79,6 @@ class ExperimentConfig:
     seed: int = 1
     duration_s: float = 300.0
     clock_mode: str = "virtual"
-    housekeeping_after_s: float = DEFAULT_HOUSEKEEPING_AFTER_S
-    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP  # None: no cap
     updates_via_cache: bool = False
     link_latency_s: float = 0.0
 
@@ -99,8 +92,6 @@ class ExperimentConfig:
                 "link_latency_s must be non-negative and finite in nanoseconds,"
                 f" got {self.link_latency_s}"
             )
-        validate_housekeeping_after(self.housekeeping_after_s)
-        validate_max_ttl_cap(self.max_ttl_cap)
         self.workload()  # checks phase, duration and seed
 
     def workload(self) -> WorkloadConfig:
@@ -360,15 +351,8 @@ def _wire(
     """
     _, algorithm = parse_config_id(cfg.config_id)
     server = ValueServer()
-    estimator = Estimator(
-        algorithm,
-        connect(server.handle),
-        clock,
-        log,
-        blacklist=(SET_METHOD,) if cfg.updates_via_cache else (),
-        housekeeping_after_s=cfg.housekeeping_after_s,
-        max_ttl_cap=cfg.max_ttl_cap,
-    )
+    blacklist = (SET_METHOD,) if cfg.updates_via_cache else ()
+    estimator = Estimator(algorithm, connect(server.handle), clock, log, blacklist=blacklist)
     cache = Cache(connect(estimator.handle), clock, log)
     query_link = connect(cache.handle)
     update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
@@ -476,15 +460,11 @@ def scripted_actor(
             yield from update_once(clock, update_link, ledger, value, log)
 
 
-def run_scripted_trace(
-    ops: Sequence[ScriptedOp],
-    config_id: str,
-    max_ttl_cap: int | None = DEFAULT_MAX_TTL_CAP,
-) -> list[EventRow]:
+def run_scripted_trace(ops: Sequence[ScriptedOp], config_id: str) -> list[EventRow]:
     """Run a scripted trace through the virtual topology; returns log rows."""
     sim = Simulation()
     log = EventLog()
-    cfg = ExperimentConfig(config_id, max_ttl_cap=max_ttl_cap)
+    cfg = ExperimentConfig(config_id)
     _, _, cache_link, update_link, ledger = _wire(cfg, sim.virtual_link, sim.clock, log)
     sim.spawn(
         scripted_actor(ops, sim.clock, cache_link, update_link, ledger, log, sim.clock.now_ns())

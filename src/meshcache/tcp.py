@@ -8,7 +8,7 @@ request), for each request frame as the frame arrives, and answers each
 task when it finishes, tagged with that request's id; so the replies on
 one connection may come out of order.
 
-The loop interprets the effects drive() interprets. Sleep is a timer on
+The loop interprets both effects, Sleep and Call. Sleep is a timer on
 the system clock. Call(link, request) assigns the link's next request id,
 queues the frame on the link's own non-blocking connection and parks the
 task under that id until the response carrying it arrives, so the
@@ -242,9 +242,9 @@ class _Task:
     """An effect generator resumed by the loop.
 
     done(result, error) is called once, when the generator returns or
-    raises. Effects are performed as drive() performs them, except that
-    nothing blocks; an effect that cannot be performed is thrown into the
-    generator, as drive() throws a link's TransportError.
+    raises. Call is performed as drive() performs it, except that nothing
+    blocks, and Sleep is a timer; an effect that cannot be performed is
+    thrown into the generator, as drive() throws a link's TransportError.
     """
 
     __slots__ = ("_loop", "_gen", "_done")

@@ -73,6 +73,6 @@ class ReferenceCache(Cache):
             ttl_s = parse_max_age(response.metadata_value("cache-control"))
             if ttl_s is not None and ttl_s >= 1:
                 expires_at_ns = self._clock.now_ns() + ttl_s * NS_PER_S
-                self._store[key] = CacheEntry(key, response, expires_at_ns)
+                self._store[key] = CacheEntry(response, expires_at_ns)
                 self._insertions += 1
         return response

@@ -307,13 +307,12 @@ def test_criterion_07_cache_expiry_exactness(capsys):
         upstream = DirectLink(
             lambda r, n=n: Message.response(r.method, b"v").with_metadata(
                 "cache-control", f"max-age={n}"
-            ),
-            clock,
+            )
         )
         cache = Cache(upstream, clock)
 
         def lookup():
-            return drive(invoke_handler(cache.handle, Message.request("GetValue")), clock)
+            return drive(invoke_handler(cache.handle, Message.request("GetValue")))
 
         lookup()  # fill at t=0
         clock.advance_to(n * NS_PER_S - 1)

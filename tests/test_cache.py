@@ -32,12 +32,12 @@ class Origin:
 def make_cache(clock, header="max-age=5"):
     origin = Origin(header)
     log = EventLog()
-    cache = Cache(DirectLink(origin.handle, clock), clock, log)
+    cache = Cache(DirectLink(origin.handle), clock, log)
     return cache, origin, log
 
 
 def lookup(cache, clock, method="GetValue", payload=b""):
-    return drive(invoke_handler(cache.handle, Message.request(method, payload)), clock)
+    return drive(invoke_handler(cache.handle, Message.request(method, payload)))
 
 
 # --- header parsing ---
@@ -126,9 +126,9 @@ def test_unusable_max_age_means_no_store(header):
 def test_error_responses_propagate_and_are_not_stored():
     clock = VirtualClock()
     log = EventLog()
-    upstream = DirectLink(lambda r: Message.error_response(r.method, "down"), clock)
+    upstream = DirectLink(lambda r: Message.error_response(r.method, "down"))
     cache = Cache(upstream, clock, log)
-    response = drive(invoke_handler(cache.handle, Message.request("GetValue")), clock)
+    response = drive(invoke_handler(cache.handle, Message.request("GetValue")))
     assert response.status == "error"
     assert cache.size() == 0
     stats = cache.snapshot_stats()
@@ -200,7 +200,7 @@ def test_memoised_cache_matches_the_plain_handler(seed):
     sides = []
     for cls in (Cache, ReferenceCache):
         upstream, log = Scripted(), EventLog()
-        sides.append((cls(DirectLink(upstream.handle, clock), clock, log), upstream, log))
+        sides.append((cls(DirectLink(upstream.handle), clock, log), upstream, log))
     (cache, upstream, log), (ref, ref_upstream, ref_log) = sides
     now_ns = 0
     for response in scripted_fills(rng, 200):
@@ -208,8 +208,8 @@ def test_memoised_cache_matches_the_plain_handler(seed):
         clock.advance_to(now_ns)
         request = Message.request("GetValue", rng.choice([b"", b"k2"]))
         upstream.response = ref_upstream.response = response
-        answer = drive(invoke_handler(cache.handle, request), clock)
-        assert answer == drive(invoke_handler(ref.handle, request), clock)
+        answer = drive(invoke_handler(cache.handle, request))
+        assert answer == drive(invoke_handler(ref.handle, request))
         assert cache._store == ref._store
     assert cache.snapshot_stats() == ref.snapshot_stats()
     assert log.render() == ref_log.render()

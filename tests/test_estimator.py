@@ -43,14 +43,14 @@ class Upstream:
 
 def make_estimator(algorithm, clock, **kwargs):
     upstream = Upstream()
-    link = DirectLink(upstream.handle, clock)
+    link = DirectLink(upstream.handle)
     log = EventLog()
     est = Estimator(algorithm, link, clock, log, **kwargs)
     return est, upstream, log
 
 
 def call(est, clock, method="GetValue", payload=b""):
-    return drive(invoke_handler(est.handle, Message.request(method, payload)), clock)
+    return drive(invoke_handler(est.handle, Message.request(method, payload)))
 
 
 # --- digests ---
@@ -79,10 +79,10 @@ def test_cache_key_separates_method_from_payload():
     for first, second in [(("Get", b"Value"), ("GetValue", b"")), (("M", b"a"), ("M", b"b"))]:
         clock = VirtualClock()
         origin_calls = []
-        est = Estimator(StaticTtl(5), DirectLink(origin, clock), clock)
-        cache = Cache(DirectLink(est.handle, clock), clock)
+        est = Estimator(StaticTtl(5), DirectLink(origin), clock)
+        cache = Cache(DirectLink(est.handle), clock)
         answers = [
-            drive(invoke_handler(cache.handle, Message.request(method, payload)), clock).payload
+            drive(invoke_handler(cache.handle, Message.request(method, payload))).payload
             for method, payload in (first, second, first, second)
         ]
         expected = [f"{m}/".encode() + p for m, p in (first, second)]
@@ -146,7 +146,7 @@ def test_cap_applies_to_dynamic_estimates():
     assert call(est, clock).metadata_value("cache-control") == "max-age=8"
 
 
-@pytest.mark.parametrize("cap", [-1, -30, 2.0, "8", False])
+@pytest.mark.parametrize("cap", [-1, -30, 1.5, 2.0, "8", "ten", "", False, True])
 def test_estimator_refuses_a_bad_cap_by_name(cap):
     with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
         make_estimator(AdaptiveTtl(1.0), VirtualClock(), max_ttl_cap=cap)
@@ -265,7 +265,7 @@ def test_housekeeping_after_must_be_positive():
         make_estimator(StaticTtl(1), clock, housekeeping_after_s=0.0)
 
 
-@pytest.mark.parametrize("after", [math.nan, math.inf, 1e300])
+@pytest.mark.parametrize("after", [math.nan, math.inf, -math.inf, -5.0, 1e300])
 def test_housekeeping_after_must_be_finite(after):
     # Refused by name, not by a failed conversion to nanoseconds.
     with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
@@ -280,8 +280,15 @@ def test_housekeeping_after_has_a_floor(after):
 
 
 def test_a_run_at_the_housekeeping_floor_ends():
-    cfg = ExperimentConfig("static-1", duration_s=2.0, housekeeping_after_s=0.01)
-    assert run_experiment(cfg).total_queries > 0
+    # At the floor the sweep runs every ms; a 2 s run still ends.
+    sim = Simulation()
+    est = Estimator(
+        StaticTtl(1), DirectLink(Upstream().handle), sim.clock, housekeeping_after_s=0.01
+    )
+    end_ns = 2 * NS_PER_S
+    sim.spawn(housekeeping_loop(est, end_ns, sim.clock))
+    sim.run()
+    assert sim.clock.now_ns() == end_ns
 
 
 def test_housekeeping_loop_sweeps_periodically_in_simulation():
@@ -289,7 +296,7 @@ def test_housekeeping_loop_sweeps_periodically_in_simulation():
     upstream = Upstream()
     est = Estimator(
         StaticTtl(5),
-        DirectLink(upstream.handle, sim.clock),
+        DirectLink(upstream.handle),
         sim.clock,
         housekeeping_after_s=10.0,
     )
@@ -338,7 +345,7 @@ def test_memoised_estimator_matches_the_plain_handler(algorithm, seed):
     sides = []
     for cls in (Estimator, ReferenceEstimator):
         upstream, log = Scripted(), EventLog()
-        est = cls(algorithm, DirectLink(upstream.handle, clock), clock, log, ("SetValue",))
+        est = cls(algorithm, DirectLink(upstream.handle), clock, log, ("SetValue",))
         sides.append((est, upstream, log))
     (est, upstream, log), (ref, ref_upstream, ref_log) = sides
     steps_ns = [0, 0, NS_PER_S // 1000, 4 * NS_PER_S // 10, 3 * NS_PER_S // 2, 7 * NS_PER_S]
@@ -349,8 +356,8 @@ def test_memoised_estimator_matches_the_plain_handler(algorithm, seed):
         method = "SetValue" if rng.random() < 0.05 else "GetValue"
         request = Message.request(method, rng.choice([b"", b"k2"]))
         upstream.response = ref_upstream.response = response
-        answer = drive(invoke_handler(est.handle, request), clock)
-        assert answer == drive(invoke_handler(ref.handle, request), clock)
+        answer = drive(invoke_handler(est.handle, request))
+        assert answer == drive(invoke_handler(ref.handle, request))
         assert est._table == ref._table
     assert log.render() == ref_log.render()
 

@@ -231,18 +231,6 @@ def test_experiment_config_validation():
     for latency in (-1.0, math.nan, math.inf, 1e300, 1e10):
         with pytest.raises(ValueError, match="link_latency_s must be non-negative and finite"):
             ExperimentConfig(config_id="static-1", link_latency_s=latency)
-    # A bad housekeeping window: tests/test_config.py.
-
-
-@pytest.mark.parametrize("cap", [-1, 1.5, "5", True])
-def test_experiment_config_refuses_a_bad_ttl_cap_by_name(cap):
-    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
-        ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=cap)
-
-
-def test_experiment_config_keeps_a_zero_or_absent_ttl_cap():
-    assert ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=0).max_ttl_cap == 0
-    assert ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=None).max_ttl_cap is None
 
 
 def test_workload_period_follows_duration():
@@ -271,20 +259,13 @@ def test_updates_via_cache_blacklists_set_value(tmp_path, monkeypatch):
 
 
 def test_estimator_cfg_states_the_settings_the_estimator_was_built_with(tmp_path, monkeypatch):
+    # A run passes no estimator setting: each one keeps Estimator's default.
     built = record_estimators(monkeypatch)
-    cfg = ExperimentConfig(
-        "updaterisk-0.25",
-        duration_s=5.0,
-        housekeeping_after_s=42.5,
-        max_ttl_cap=None,
-        updates_via_cache=True,
-    )
+    cfg = ExperimentConfig("updaterisk-0.25", duration_s=5.0, updates_via_cache=True)
     run_experiment(cfg, tmp_path)
     (args,) = built
-    assert args["algorithm"] == UpdateRiskTtl(0.25)
-    assert (args["blacklist"], args["housekeeping_after_s"], args["max_ttl_cap"]) == (
-        ("SetValue",), 42.5, None
-    )
+    assert list(args) == ["algorithm", "upstream", "clock", "log", "blacklist"]
+    assert (args["algorithm"], args["blacklist"]) == (UpdateRiskTtl(0.25), ("SetValue",))
 
 
 # --- virtual runs ---
@@ -660,18 +641,12 @@ def test_scripted_trace_matches_oracle_with_changes_at_one_instant(config_id):
 
 
 def test_scripted_trace_honors_the_cap():
+    # floor(100 s * 0.5) = 50 is held at the estimator's default cap of 30.
     ops = [ScriptedOp(0.0, "query"), ScriptedOp(100.0, "query")]
-    rows = run_scripted_trace(ops, "adaptive-0.5", max_ttl_cap=3)
-    expected = replay_trace([(0.0, "query"), (100.0, "query")], "adaptive-0.5", cap=3)
+    rows = run_scripted_trace(ops, "adaptive-0.5")
+    expected = replay_trace([(0.0, "query"), (100.0, "query")], "adaptive-0.5", cap=30)
     assert as_tuples(rows) == expected
-    assert [r.value for r in rows if r.event == "estimate"] == ["0", "3"]
-
-
-def test_scripted_trace_refuses_a_negative_cap():
-    # A cap of -1 would stamp max-age=-1, which the cache reads as
-    # malformed, so caching would silently stop.
-    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
-        run_scripted_trace([ScriptedOp(0.0, "query")], "adaptive-0.5", max_ttl_cap=-1)
+    assert [r.value for r in rows if r.event == "estimate"] == ["0", "30"]
 
 
 def test_scripted_op_validation():

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from meshcache.cache import CacheEntry
-from meshcache.clock import VirtualClock
 from meshcache.effects import Call, DirectLink, Sleep
 from meshcache.eventlog import EventLog, EventRow
 from meshcache.ttl import ObservationHistory, empty_history, observe
@@ -26,8 +25,8 @@ RESPONSE = Message.response("GetValue", b"41", (("cache-control", "max-age=5"),)
 RECORDS = [
     (RESPONSE, "payload", b"x"),
     (Sleep(5), "duration_ns", 6),
-    (Call(DirectLink(lambda m: m, VirtualClock()), RESPONSE), "message", RESPONSE),
-    (CacheEntry(b"k", RESPONSE, 10), "expires_at_ns", 11),
+    (Call(DirectLink(lambda m: m), RESPONSE), "message", RESPONSE),
+    (CacheEntry(RESPONSE, 10), "expires_at_ns", 11),
     (ObservationHistory(2, b"d", (1, 2), 3), "last_touched", 4),
 ]
 

@@ -18,8 +18,6 @@ def test_virtual_clock_only_moves_forward():
     assert clock.now_ns() == 5
     with pytest.raises(ValueError):
         clock.advance_to(4)
-    with pytest.raises(RuntimeError):
-        clock.sleep_until(10)
 
 
 def test_events_fire_in_time_order_with_fifo_ties():
@@ -163,8 +161,7 @@ def test_virtual_hop_isolates_a_handler_as_invoke_handler_does(case):
     sim.spawn(client())
     sim.run()
 
-    clock = VirtualClock()
-    expected = drive(invoke_handler(failing_handler(case, DirectLink(echo, clock)), request), clock)
+    expected = drive(invoke_handler(failing_handler(case, DirectLink(echo)), request))
     assert expected.status == "error"
     assert got == [expected]
 
@@ -547,25 +544,22 @@ def test_unknown_effect_raises():
         sim.spawn(actor())
 
 
-# --- the live-side interpreter (drive) against a virtual clock ---
+# --- the live-side interpreter (drive) ---
 
 
 def test_drive_runs_plain_and_generator_handlers():
-    clock = VirtualClock()
     plain = invoke_handler(lambda r: Message.response(r.method, b"x"), Message.request("M"))
-    assert drive(plain, clock).payload == b"x"
+    assert drive(plain).payload == b"x"
 
     def gen_handler(request):
         return Message.response(request.method, b"y")
         yield  # pragma: no cover - makes this a generator function
 
-    out = drive(invoke_handler(gen_handler, Message.request("M")), clock)
+    out = drive(invoke_handler(gen_handler, Message.request("M")))
     assert out.payload == b"y"
 
 
 def test_drive_throws_transport_errors_into_the_actor():
-    clock = VirtualClock()
-
     class FlakyLink:
         def __init__(self):
             self.calls = 0
@@ -585,12 +579,19 @@ def test_drive_throws_transport_errors_into_the_actor():
             response = yield Call(link, Message.request("M"))
         return response
 
-    assert drive(actor(), clock).payload == b"second"
+    assert drive(actor()).payload == b"second"
+
+
+def test_drive_refuses_a_sleep():
+    # Only a scheduler waits; drive() performs Call alone.
+    def actor():
+        yield Sleep(5)
+
+    with pytest.raises(TypeError, match=r"unknown effect Sleep\(duration_ns=5\)"):
+        drive(actor())
 
 
 def test_drive_propagates_unhandled_transport_errors():
-    clock = VirtualClock()
-
     class DeadLink:
         def send(self, request):
             raise TransportError("no route")
@@ -599,12 +600,12 @@ def test_drive_propagates_unhandled_transport_errors():
         yield Call(DeadLink(), Message.request("M"))
 
     with pytest.raises(TransportError):
-        drive(actor(), clock)
+        drive(actor())
 
 
 def test_direct_link_exchange_runs_inside_a_simulation_task():
     sim = Simulation()
-    link = DirectLink(lambda r: Message.response(r.method, b"now"), sim.clock)
+    link = DirectLink(lambda r: Message.response(r.method, b"now"))
     got = []
 
     def actor():
@@ -618,21 +619,19 @@ def test_direct_link_exchange_runs_inside_a_simulation_task():
 
 
 def test_direct_link_is_synchronous_and_isolating():
-    clock = VirtualClock()
-    link = DirectLink(lambda r: Message.response(r.method, r.payload * 2), clock)
+    link = DirectLink(lambda r: Message.response(r.method, r.payload * 2))
     assert link.send(Message.request("M", b"ab")).payload == b"abab"
 
     def exploding(request):
         raise ValueError("nope")
 
-    bad = DirectLink(exploding, clock)
+    bad = DirectLink(exploding)
     response = bad.send(Message.request("M"))
     assert response.status == "error" and b"nope" in response.payload
 
 
 def test_handler_returning_non_message_is_an_error_response():
-    clock = VirtualClock()
-    link = DirectLink(lambda r: "junk", clock)
+    link = DirectLink(lambda r: "junk")
     assert link.send(Message.request("M")).status == "error"
-    echoes_request = DirectLink(lambda r: r, clock)
+    echoes_request = DirectLink(lambda r: r)
     assert echoes_request.send(Message.request("M")).status == "error"

@@ -17,7 +17,6 @@ import pytest
 
 from meshcache import tcp
 from meshcache.clock import NS_PER_MS as MS
-from meshcache.clock import SystemClock
 from meshcache.effects import Call, Sleep, TransportError, drive
 from meshcache.tcp import MAX_TIMEOUT_S, TcpLink, _FrameReader, run_actors, serve
 from meshcache.wire import MAX_FRAME_LEN, Message, OversizeFrameError, decode, encode
@@ -105,7 +104,7 @@ def test_exchange_failure_is_thrown_into_the_driven_actor():
             return "caught"
         return "answered"
 
-    assert drive(actor(), SystemClock()) == "caught"
+    assert drive(actor()) == "caught"
 
 
 def test_close_refuses_connects_and_leaves_only_the_loop_thread():

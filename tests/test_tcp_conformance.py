@@ -7,10 +7,15 @@ instant, so nothing sleeps and no housekeeping runs. Every log row,
 timestamp included, must equal the virtual run's and the straight-line
 oracle's. The rows pass through every frame codec path the sidecars use,
 so a codec memo that answers for the wrong frame changes them.
+
+Each live hop decodes a fresh Message, so of the sidecars' one-entry
+memos only the estimator's digest memo, which compares bodies rather
+than messages, saves work over TCP; the last test here pins it.
 """
 
 from contextlib import ExitStack
 
+from meshcache import estimator as estimator_module
 from meshcache import tcp
 from meshcache.clock import seconds_to_ns
 from meshcache.eventlog import EventLog
@@ -66,3 +71,29 @@ def test_the_micro_traces_give_the_same_rows_over_tcp_as_on_the_virtual_clock():
             mismatched.append((i, config))
     assert mismatched == [], f"{len(mismatched)} of 100 traces differ: {mismatched[:10]}"
     assert rows > 1000
+
+
+def test_over_tcp_the_estimator_digests_each_server_value_once(monkeypatch):
+    # Every response arrives as a freshly decoded Message, so the digest
+    # memo, which compares bodies, is the one that can skip work here: a
+    # trace digests at most one body per update, plus the server's first
+    # value.
+    digests = []
+    real_digest = estimator_module.response_digest
+
+    def counting_digest(payload):
+        digests.append(payload)
+        return real_digest(payload)
+
+    monkeypatch.setattr(estimator_module, "response_digest", counting_digest)
+    over = []
+    misses = 0
+    for i, (config, ops) in enumerate(micro_traces()):
+        digests.clear()
+        rows = run_over_tcp(ops, config)
+        misses += sum(row.event == "miss" for row in rows)
+        updates = sum(op.kind == "update" for op in ops)
+        if len(digests) > updates + 1:
+            over.append((i, config, len(digests), updates))
+    assert over == [], f"traces digesting more than their updates plus one: {over[:10]}"
+    assert misses > 200
