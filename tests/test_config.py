@@ -116,6 +116,31 @@ def test_algorithm_parameter_extracts_the_knob():
 # --- estimator settings ---
 
 
+def build_estimator(**settings):
+    clock = VirtualClock()
+    return Estimator(StaticTtl(1), DirectLink(ValueServer().handle), clock, **settings)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "1e300"])
+def test_estimator_config_refuses_a_bad_housekeeping_window(value):
+    # The estimator holds its own settings and checks them before it is built.
+    with pytest.raises(ValueError, match="housekeeping_after_s must be positive and finite"):
+        build_estimator(housekeeping_after_s=float(value))
+
+
+@pytest.mark.parametrize("value", [4e-9, 6e-9, 0.0099])
+def test_estimator_config_refuses_a_housekeeping_window_below_the_floor(value):
+    # At 4e-9 s the sweep interval rounds to 0 ns and the run never ended.
+    with pytest.raises(ValueError, match=r"housekeeping_after_s must be at least 0\.01 s"):
+        build_estimator(housekeeping_after_s=value)
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "ten", ""])
+def test_estimator_config_refuses_a_bad_ttl_cap_by_name(value):
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        build_estimator(max_ttl_cap=value)
+
+
 def test_settings_validate_blacklist_up_front():
     clock = VirtualClock()
     upstream = DirectLink(ValueServer().handle)

@@ -21,6 +21,8 @@ import pytest
 
 from meshcache import harness
 from meshcache.cache import CacheStats
+from meshcache.clock import VirtualClock
+from meshcache.effects import DirectLink
 from meshcache.estimator import Estimator
 from meshcache.eventlog import EventLog, EventRow, parse_event_log
 from meshcache.harness import (
@@ -43,7 +45,8 @@ from meshcache.harness import (
     write_timeseries,
 )
 from meshcache.sim import Simulation, VirtualLink
-from meshcache.ttl import UpdateRiskTtl
+from meshcache.ttl import DEFAULT_MAX_TTL_CAP, AdaptiveTtl, UpdateRiskTtl
+from meshcache.workload import ValueServer
 
 import reference_fold
 from reference_scheduler import ReferenceSimulation
@@ -231,6 +234,30 @@ def test_experiment_config_validation():
     for latency in (-1.0, math.nan, math.inf, 1e300, 1e10):
         with pytest.raises(ValueError, match="link_latency_s must be non-negative and finite"):
             ExperimentConfig(config_id="static-1", link_latency_s=latency)
+
+
+def harness_estimator(**settings):
+    link = DirectLink(ValueServer().handle)
+    return Estimator(AdaptiveTtl(0.5), link, VirtualClock(), **settings)
+
+
+@pytest.mark.parametrize("cap", [-1, 1.5, "5", True])
+def test_experiment_config_refuses_a_bad_ttl_cap_by_name(cap):
+    # A run's config holds no cap, so it refuses the name outright; the
+    # value is judged in one place, by the estimator.
+    with pytest.raises(TypeError, match="max_ttl_cap"):
+        ExperimentConfig(config_id="adaptive-0.5", max_ttl_cap=cap)
+    with pytest.raises(ValueError, match="max_ttl_cap must be a non-negative integer"):
+        harness_estimator(max_ttl_cap=cap)
+
+
+def test_experiment_config_keeps_a_zero_or_absent_ttl_cap():
+    # 0 (never cache) and None (no cap) are kept by the estimator; a run's
+    # config has no cap, so its estimator keeps the default.
+    assert harness_estimator(max_ttl_cap=0)._max_ttl_cap == 0
+    assert harness_estimator(max_ttl_cap=None)._max_ttl_cap is None
+    assert "max_ttl_cap" not in {f.name for f in fields(ExperimentConfig)}
+    assert harness_estimator()._max_ttl_cap == DEFAULT_MAX_TTL_CAP == 30
 
 
 def test_workload_period_follows_duration():
@@ -647,6 +674,14 @@ def test_scripted_trace_honors_the_cap():
     expected = replay_trace([(0.0, "query"), (100.0, "query")], "adaptive-0.5", cap=30)
     assert as_tuples(rows) == expected
     assert [r.value for r in rows if r.event == "estimate"] == ["0", "30"]
+
+
+def test_scripted_trace_refuses_a_negative_cap():
+    # A cap of -1 would stamp max-age=-1, which the cache reads as
+    # malformed, so caching would silently stop. A trace takes no cap at
+    # all: it runs at the estimator's default.
+    with pytest.raises(TypeError, match="max_ttl_cap"):
+        run_scripted_trace([ScriptedOp(0.0, "query")], "adaptive-0.5", max_ttl_cap=-1)
 
 
 def test_scripted_op_validation():
