@@ -24,7 +24,7 @@ _EXPORTS = {
     "config": "CONFIG_IDS SuiteMatrix parse_config_id parse_matrix",
     "digests": "",
     "effects": "Call DirectLink Handler Link Sleep TransportError drive invoke_handler",
-    "estimator": "Estimator housekeeping_loop validate_blacklist",
+    "estimator": "Estimator validate_blacklist",
     "eventlog": "EventLog EventRow parse_event_log parse_event_row",
     "harness": (
         "ExperimentConfig ExperimentResult RunMetrics ScriptedOp SuiteOutcome WindowSeries"

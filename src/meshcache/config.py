@@ -112,8 +112,10 @@ def parse_matrix(text: str) -> SuiteMatrix:
         if not line or line.startswith("#"):
             continue
         if "=" in line:
-            key, _, value = line.partition("=")
-            options[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in options:
+                raise ValueError(f"line {i}: matrix key {key!r} given twice")
+            options[key] = value
             continue
         parse_config_id(line)  # validates; raises ValueError
         config_ids.append(line)

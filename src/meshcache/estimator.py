@@ -15,7 +15,9 @@ The history table is keyed on the request itself, the (method, payload)
 tuple, as the cache's store is; only the response body is digested.
 
 A housekeeping sweep drops entries idle longer than housekeeping_after
-so the table tracks only recently requested keys.
+so the table tracks only recently requested keys. It runs on the request
+path, after the request's own observation, at most once per tenth of the
+window of request time, so nothing needs to run beside the estimator.
 
 The TTL's text and its "max-age=N" value come from one bounded memo, so
 an estimate looks both up instead of paying a str() and a concatenation.
@@ -46,7 +48,7 @@ from functools import lru_cache
 from .cache import MAX_AGE_CACHE_SIZE
 from .clock import NS_PER_S, Clock, seconds_to_ns
 from .digests import response_digest
-from .effects import Link, Sleep
+from .effects import Link
 from .eventlog import EventLog
 from .ttl import (
     DEFAULT_MAX_TTL_CAP,
@@ -100,9 +102,8 @@ class Estimator:
             raise ValueError(
                 f"housekeeping_after_s must be positive and finite in nanoseconds, got {after}"
             )
-        # The sweep runs every window/10. Under the floor it would run more
-        # than once per ms of run time; at 4e-9 s its interval rounds to 0 ns
-        # and a run never ends.
+        # The sweep runs at most once per window/10 of request time, so at
+        # the floor at most once per ms of it.
         if after < MIN_HOUSEKEEPING_AFTER_S:
             raise ValueError(
                 f"housekeeping_after_s must be at least {MIN_HOUSEKEEPING_AFTER_S} s"
@@ -117,6 +118,8 @@ class Estimator:
         self._log = log
         self._blacklist = validate_blacklist(blacklist)
         self._housekeeping_after_ns = seconds_to_ns(after)
+        self._sweep_interval_ns = seconds_to_ns(after / 10.0)
+        self._next_sweep_ns = clock.now_ns() + self._sweep_interval_ns
         self._max_ttl_cap = cap
         self._depth = algorithm.history_depth
         self._table: dict[tuple[str, bytes], ObservationHistory] = {}
@@ -125,10 +128,6 @@ class Estimator:
         # (upstream response, max-age text, the annotated response).
         self._digest_memo: tuple[bytes | None, bytes] = (None, b"")
         self._annotation_memo: tuple[Message | None, str, Message | None] = (None, "", None)
-
-    @property
-    def housekeeping_after_s(self) -> float:
-        return self._housekeeping_after_ns / 1e9
 
     def table_size(self) -> int:
         return len(self._table)
@@ -153,6 +152,9 @@ class Estimator:
             self._digest_memo = (payload, digest)
         now_ns = self._clock.now_ns()
         history = self._table[key] = observe(history, now_ns, digest)
+        if now_ns >= self._next_sweep_ns:
+            self.housekeeping_sweep()
+            self._next_sweep_ns = now_ns + self._sweep_interval_ns
         ttl = estimate(self._algorithm, history, now_ns, self._max_ttl_cap)
         ttl_text, max_age = ttl_texts(ttl)
         if self._log is not None:
@@ -175,11 +177,3 @@ class Estimator:
         for key in stale:
             del self._table[key]
         return len(stale)
-
-
-def housekeeping_loop(estimator: Estimator, end_ns: int, clock: Clock) -> Generator:
-    """Periodic sweep actor: runs every housekeeping_after/10 until end_ns."""
-    interval_ns = seconds_to_ns(estimator.housekeeping_after_s / 10.0)
-    while clock.now_ns() + interval_ns <= end_ns:
-        yield Sleep(interval_ns)
-        estimator.housekeeping_sweep()

@@ -46,7 +46,7 @@ from .cache import Cache, CacheStats
 from .clock import NS_PER_S, Clock, SystemClock, seconds_to_ns
 from .config import canonical_order, parse_config_id
 from .effects import Handler, Link, Sleep
-from .estimator import Estimator, housekeeping_loop
+from .estimator import Estimator
 from .eventlog import EventLog, EventRow, RowKind, parse_event_lines
 from .sim import Simulation
 from .ttl import AlgorithmConfig
@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ValueError(
                 "link_latency_s must be non-negative and finite in nanoseconds,"
                 f" got {self.link_latency_s}"
+            )
+        if self.clock_mode == "real" and self.link_latency_s > 0:  # TCP adds no delay
+            raise ValueError(
+                f"link_latency_s must be 0 with clock_mode='real', got {self.link_latency_s}"
             )
         self.workload()  # checks phase, duration and seed
 
@@ -342,12 +346,12 @@ def compute_windows(
 
 def _wire(
     cfg: ExperimentConfig, connect: Callable[[Handler], Link], clock: Clock, log: EventLog
-) -> tuple[Estimator, Cache, Link, Link, StalenessLedger]:
+) -> tuple[Cache, Link, Link, StalenessLedger]:
     """Build server <- estimator <- cache; connect(handler) returns a link to it.
 
-    Returns the estimator, the cache, the query link to the cache, the
-    update link (to the cache when cfg.updates_via_cache, else to the
-    server) and a staleness ledger at the server's value.
+    Returns the cache, the query link to the cache, the update link (to
+    the cache when cfg.updates_via_cache, else to the server) and a
+    staleness ledger at the server's value.
     """
     _, algorithm = parse_config_id(cfg.config_id)
     server = ValueServer()
@@ -356,7 +360,7 @@ def _wire(
     cache = Cache(connect(estimator.handle), clock, log)
     query_link = connect(cache.handle)
     update_link = connect(cache.handle if cfg.updates_via_cache else server.handle)
-    return estimator, cache, query_link, update_link, StalenessLedger(server.current_value())
+    return cache, query_link, update_link, StalenessLedger(server.current_value())
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -377,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
             clock = SystemClock()
             connect = tcp.connector(stack)
-        estimator, cache, cache_link, update_link, ledger = _wire(cfg, connect, clock, log)
+        cache, cache_link, update_link, ledger = _wire(cfg, connect, clock, log)
         query_rng, update_rng = workload.actor_rngs()
         start_ns = clock.now_ns()
         end_ns = start_ns + seconds_to_ns(cfg.duration_s)
@@ -388,7 +392,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             update_actor(
                 workload.update, clock, update_link, ledger, update_rng, start_ns, end_ns, log
             ),
-            housekeeping_loop(estimator, end_ns, clock),
         ]
         if sim is not None:
             try:
@@ -465,7 +468,7 @@ def run_scripted_trace(ops: Sequence[ScriptedOp], config_id: str) -> list[EventR
     sim = Simulation()
     log = EventLog()
     cfg = ExperimentConfig(config_id)
-    _, _, cache_link, update_link, ledger = _wire(cfg, sim.virtual_link, sim.clock, log)
+    _, cache_link, update_link, ledger = _wire(cfg, sim.virtual_link, sim.clock, log)
     sim.spawn(
         scripted_actor(ops, sim.clock, cache_link, update_link, ledger, log, sim.clock.now_ns())
     )

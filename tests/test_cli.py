@@ -92,7 +92,7 @@ def test_suite_bad_matrix_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["duration_s=0", "duration_s=-5", "seeds=1,-1", f"seeds={2**64}"]
+    "line", ["duration_s=0", "duration_s=-5", "seeds=1,-1", f"seeds={2**64}", "seeds=1\nseeds=2,3"]
 )
 def test_suite_matrix_with_unusable_run_knobs_is_a_config_error(tmp_path, capsys, line):
     matrix = tmp_path / "matrix.txt"

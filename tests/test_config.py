@@ -196,6 +196,7 @@ def test_matrix_names_the_key_of_a_value_that_is_not_a_number(line, key):
         "static-1\nclock=cuckoo\n",
         "static-1\nclock=virtual\n",  # a suite always runs on the virtual clock
         "static-1\nbogus=1\n",
+        "static-1\nseeds = 1\nseeds = 2,3\n",  # a key given twice
     ],
 )
 def test_matrix_rejects_bad_text(text):

@@ -4,23 +4,20 @@ import hashlib
 import inspect
 import math
 import random
+import time
 
 import pytest
 
 from meshcache import estimator as estimator_module
 from meshcache.cache import Cache
-from meshcache.clock import NS_PER_S, VirtualClock
+from meshcache.clock import NS_PER_S, SystemClock, VirtualClock
 from meshcache.digests import response_digest
-from meshcache.effects import DirectLink, drive, invoke_handler
-from meshcache.estimator import (
-    Estimator,
-    housekeeping_loop,
-    ttl_texts,
-    validate_blacklist,
-)
+from meshcache.effects import DirectLink, Sleep, drive, invoke_handler
+from meshcache.estimator import Estimator, ttl_texts, validate_blacklist
 from meshcache.eventlog import EventLog
 from meshcache.harness import ExperimentConfig, run_experiment
 from meshcache.sim import Simulation
+from meshcache.tcp import TcpLink, serve
 from meshcache.ttl import AdaptiveTtl, StaticTtl, UpdateRiskTtl
 from meshcache.wire import Message
 from reference_sidecars import ReferenceEstimator, Scripted
@@ -279,36 +276,55 @@ def test_housekeeping_after_has_a_floor(after):
         make_estimator(StaticTtl(1), VirtualClock(), housekeeping_after_s=after)
 
 
-def test_a_run_at_the_housekeeping_floor_ends():
-    # At the floor the sweep runs every ms; a 2 s run still ends.
+def test_a_run_at_the_housekeeping_floor_ends(monkeypatch):
+    # At the floor the request path sweeps at most once per ms: 100
+    # requests 0.1 ms apart, 9.9 ms in all, run at most 11 sweeps.
     sim = Simulation()
     est = Estimator(
         StaticTtl(1), DirectLink(Upstream().handle), sim.clock, housekeeping_after_s=0.01
     )
-    end_ns = 2 * NS_PER_S
-    sim.spawn(housekeeping_loop(est, end_ns, sim.clock))
+    sweeps = []
+    real_sweep = est.housekeeping_sweep
+    monkeypatch.setattr(est, "housekeeping_sweep", lambda: sweeps.append(1) or real_sweep())
+
+    def requester():
+        for i in range(100):
+            if i:
+                yield Sleep(NS_PER_S // 10_000)
+            yield from invoke_handler(est.handle, Message.request("GetValue", b"%d" % i))
+
+    sim.spawn(requester())
     sim.run()
-    assert sim.clock.now_ns() == end_ns
+    assert sim.clock.now_ns() == 99 * NS_PER_S // 10_000
+    assert 1 <= len(sweeps) <= 11
 
 
-def test_housekeeping_loop_sweeps_periodically_in_simulation():
+def test_the_request_path_sweeps_idle_keys_in_simulation():
+    # No actor sweeps: the request for "b" at 11 s drops "a", idle since 0 s.
     sim = Simulation()
-    upstream = Upstream()
     est = Estimator(
-        StaticTtl(5),
-        DirectLink(upstream.handle),
-        sim.clock,
-        housekeeping_after_s=10.0,
+        StaticTtl(5), DirectLink(Upstream().handle), sim.clock, housekeeping_after_s=10.0
     )
 
-    def toucher():
-        # One request at t=0, never again: idle beyond 10 s around t=11.
-        yield from invoke_handler(est.handle, Message.request("GetValue"))
+    def requester():
+        yield from invoke_handler(est.handle, Message.request("GetValue", b"a"))
+        yield Sleep(11 * NS_PER_S)
+        yield from invoke_handler(est.handle, Message.request("GetValue", b"b"))
 
-    sim.spawn(toucher())
-    sim.spawn(housekeeping_loop(est, 20 * NS_PER_S, sim.clock))
-    sim.run(until_ns=20 * NS_PER_S)
-    assert est.table_size() == 0
+    sim.spawn(requester())
+    sim.run()
+    assert est.table_size() == 1
+
+
+def test_a_served_estimator_bounds_its_table_with_nothing_beside_it():
+    est = Estimator(
+        StaticTtl(5), DirectLink(Upstream().handle), SystemClock(), housekeeping_after_s=0.01
+    )
+    with serve(est.handle) as handle, TcpLink(handle.address) as link:
+        link.send(Message.request("GetValue", b"a"))
+        time.sleep(0.05)
+        link.send(Message.request("GetValue", b"b"))
+    assert est.table_size() == 1
 
 
 # --- memos against the plain handler ---

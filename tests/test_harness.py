@@ -236,6 +236,13 @@ def test_experiment_config_validation():
             ExperimentConfig(config_id="static-1", link_latency_s=latency)
 
 
+def test_a_real_clock_run_refuses_a_link_latency():
+    # The TCP backend adds no delay, so the run would silently run at latency 0.
+    with pytest.raises(ValueError, match=r"^link_latency_s must be 0 with clock_mode='real'"):
+        ExperimentConfig(config_id="static-1", clock_mode="real", link_latency_s=0.5)
+    ExperimentConfig(config_id="static-1", clock_mode="real", link_latency_s=0.0)
+
+
 def harness_estimator(**settings):
     link = DirectLink(ValueServer().handle)
     return Estimator(AdaptiveTtl(0.5), link, VirtualClock(), **settings)
@@ -424,7 +431,7 @@ def test_virtual_run_spawns_one_task_per_actor(monkeypatch):
     )
     result = run_experiment(cfg)
     assert result.total_queries > 0 and result.cache_stats.misses > 0
-    assert len(spawned) == 3
+    assert len(spawned) == 2
 
 
 def test_a_virtual_run_is_freed_when_it_returns(monkeypatch):
@@ -489,7 +496,7 @@ def test_virtual_run_advances_most_hop_legs_in_place(monkeypatch):
     # A zero-latency hop leg that wakes its task before any other event is
     # due advances the clock at the link and never reaches the scheduler.
     # The heap still sees exactly the pushes it saw when every leg was a
-    # Sleep resumed in place by the task: 581 for this run.
+    # Sleep resumed in place by the task: 547 for this run.
     counts = {"legs": 0, "yielded_legs": 0, "pushes": 0}
     real_exchange = VirtualLink.exchange
     real_spawn, real_call_at = Simulation.spawn, Simulation.call_at
@@ -512,7 +519,7 @@ def test_virtual_run_advances_most_hop_legs_in_place(monkeypatch):
     monkeypatch.setattr(Simulation, "spawn", lambda self, gen: real_spawn(self, counted(gen)))
     monkeypatch.setattr(Simulation, "call_at", counting_call_at)
     run_experiment(ExperimentConfig(config_id="updaterisk-0.5", phase_tag="pi2", duration_s=600.0))
-    assert counts["pushes"] == 581
+    assert counts["pushes"] == 547
     assert counts["legs"] > 10_000
     assert counts["legs"] - counts["yielded_legs"] > 0.95 * counts["legs"]
 

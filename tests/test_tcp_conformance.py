@@ -3,7 +3,8 @@
 Criterion 8's 100 seeded micro-traces run through the same topology over
 loopback TCP: harness._wire over tcp.connector, one actor on the loop
 under tcp.run_actors, and a clock that the actor sets to each operation's
-instant, so nothing sleeps and no housekeeping runs. Every log row,
+instant, so nothing sleeps, and the estimator's request-path sweep runs
+but drops nothing in a trace shorter than its window. Every log row,
 timestamp included, must equal the virtual run's and the straight-line
 oracle's. The rows pass through every frame codec path the sidecars use,
 so a codec memo that answers for the wrong frame changes them.
@@ -53,7 +54,7 @@ def run_over_tcp(ops, config_id):
     log = EventLog()
     with ExitStack() as stack:
         connect = tcp.connector(stack)
-        _, _, cache_link, update_link, ledger = _wire(
+        _, cache_link, update_link, ledger = _wire(
             ExperimentConfig(config_id), connect, clock, log
         )
         tcp.run_actors([scripted_actor(ops, clock, cache_link, update_link, ledger, log)])
